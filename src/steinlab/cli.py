@@ -479,6 +479,8 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     config.setdefault("thresholds", None)
     if isinstance(config.get("thresholds"), str):
         config["thresholds"] = _parse_thresholds(config["thresholds"])
+    if not 0 < config["confidence"] < 1:
+        raise ConfigError(f"confidence must lie in (0, 1), got {config['confidence']!r}")
     return config
 
 

@@ -2,11 +2,15 @@
 growth process, content statistics and the zero-bias construction.
 
 Partitions are tuples of non-increasing positive parts.  The growth chain
-adds one box per step; its transition weight is the ratio of hook-type
-products times a column correction, all computed exactly in rational
-arithmetic.  Sampling uses a float fast path over a run-length encoding of
-the partition whose per-run telescoped products are tested against the
-literal box-by-box reference.
+adds one box per step.  Its transition law is Kerov's interlacing formula:
+with x_k the alpha-contents of the addable corners and y_i the contents of
+the removable boxes plus alpha - 1,
+
+    p_k = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j).
+
+One implementation, ``_corner_law``, evaluates it over a run-length encoding
+of the partition; it is exact for a Fraction alpha and serves the samplers
+with a float alpha.
 
 The deformation parameter alpha is carried as an exact Fraction wherever a
 probability or content is produced; the irrational scale sqrt(alpha C(n,2))
@@ -15,6 +19,7 @@ enters only at the final standardization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,15 +67,6 @@ def _validate_partition(parts: Sequence[int]) -> tuple:
 def conjugate(parts: Sequence[int]) -> tuple:
     parts = _validate_partition(parts)
     return tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1))
-
-
-def parse_partition(text: str) -> tuple:
-    """Parse the comma-joined serialization, e.g. "4,2,1"."""
-    return _validate_partition(int(f) for f in text.split(","))
-
-
-def format_partition(parts: Sequence[int]) -> str:
-    return ",".join(str(p) for p in _validate_partition(parts))
 
 
 def arm_leg(parts: Sequence[int], box: tuple[int, int]) -> tuple[int, int]:
@@ -175,33 +171,46 @@ class CornerDistribution:
     probs: tuple  # exact transition probabilities
 
 
-def kerov_transition_probs(parts: Sequence[int], alpha) -> CornerDistribution:
-    """Exact one-step growth law from a partition.
+def _parts_to_runs(parts: tuple) -> list[list[int]]:
+    """Run-length encoding [[value, count], ...], values strictly decreasing."""
+    return [[v, len(list(g))] for v, g in itertools.groupby(parts)]
 
-    The weight of a corner is the ratio of the lower hook products of the
-    old and grown diagram times the column correction over the boxes above
-    the new box, evaluated literally box by box.
+
+def _corner_law(runs: list[list[int]], alpha):
+    """(contents, probabilities) of the addable corners, top row first.
+
+    Kerov's interlacing formula over the run-length encoding: with S_t the
+    rows above run t, the addable corner of run t has content
+    x_t = alpha v_t - S_t, the new bottom row x_r = -S_r, and the removable
+    box closing run t gives y_t = alpha v_t - S_{t+1}.  The arithmetic follows
+    the type of ``alpha``: exact for a Fraction, float for a float.
     """
-    parts = _validate_partition(parts)
-    alpha = Fraction(alpha)
-    corners = addable_corners(parts)
-    c_old, _ = _hook_products(parts, alpha)
-    contents = []
+    x = []
+    y = []
+    rows = 0
+    for v, count in runs:
+        av = alpha * v
+        x.append(av - rows)
+        rows += count
+        y.append(av - rows)
+    x.append(alpha * 0 - rows)  # new bottom row; alpha * 0 keeps alpha's number type
     probs = []
-    for r, c in corners:
-        grown = _add_box(parts, (r, c))
-        c_new, _ = _hook_products(grown, alpha)
-        psi = Fraction(1)
-        for i in range(1, r):
-            a_new = grown[i - 1] - c
-            l_new = sum(1 for rr in range(i, len(grown)) if grown[rr] >= c)
-            a_old = parts[i - 1] - c
-            l_old = sum(1 for rr in range(i, len(parts)) if parts[rr] >= c)
-            psi *= (alpha * a_new + l_new + 1) / (alpha * a_new + l_new + alpha)
-            psi *= (alpha * a_old + l_old + alpha) / (alpha * a_old + l_old + 1)
-        contents.append(alpha * (c - 1) - (r - 1))
-        probs.append(c_old / c_new * psi)
-    return CornerDistribution(tuple(corners), tuple(contents), tuple(probs))
+    for k, xk in enumerate(x):
+        num = den = 1
+        for yi in y:
+            num *= xk - yi
+        for j, xj in enumerate(x):
+            if j != k:
+                den *= xk - xj
+        probs.append(num / den)
+    return x, probs
+
+
+def kerov_transition_probs(parts: Sequence[int], alpha) -> CornerDistribution:
+    """Exact one-step growth law from a partition."""
+    parts = _validate_partition(parts)
+    contents, probs = _corner_law(_parts_to_runs(parts), Fraction(alpha))
+    return CornerDistribution(tuple(addable_corners(parts)), tuple(contents), tuple(probs))
 
 
 def chain_law(n: int, alpha) -> dict:
@@ -220,49 +229,18 @@ def chain_law(n: int, alpha) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Fast float sampler over run-length encoded partitions
+# Float growth sampler over run-length encoded partitions
 # ---------------------------------------------------------------------------
 
 
-def _fast_corner_weights(runs: list[list[int]], alpha: float):
-    """(contents, weights) of all addable corners, float arithmetic.
-
-    ``runs`` is the run-length encoding [[value, count], ...] with strictly
-    decreasing values.  Per-run telescoping reduces the box products of the
-    transition weight to one factor per run; the algebra is checked against
-    the literal rational implementation in the tests.
-    """
-    r = len(runs)
-    S = [0] * (r + 1)
-    for i, (_, k) in enumerate(runs):
-        S[i + 1] = S[i] + k
-    contents = []
-    weights = []
-    for t in range(r + 1):
-        if t < r:
-            v_t = runs[t][0]
-            c = v_t + 1
-            rows_above = S[t]
-        else:  # brand-new bottom row
-            v_t = 0
-            c = 1
-            rows_above = S[r]
-        w = 1.0
-        # boxes above the new box, one telescoped factor per run
-        for s in range(t if t < r else r):
-            A = alpha * (runs[s][0] - c) + alpha
-            w *= (A + rows_above - S[s + 1]) / (A + rows_above - S[s])
-        # boxes to the left of the new box, one factor per constant-leg block
-        if t < r:
-            j_hi = v_t
-            for u in range(t, r):
-                j_lo = runs[u + 1][0] + 1 if u + 1 < r else 1
-                L = S[u + 1] - S[t] - 1
-                w *= (alpha * (c - 1 - j_hi) + L + 1) / (alpha * (c - j_lo) + L + 1)
-                j_hi = j_lo - 1
-        contents.append(alpha * (c - 1) - rows_above)
-        weights.append(w)
-    return contents, weights
+def _pick(weights, u: float) -> int:
+    """Inverse CDF: first index whose running sum exceeds u, else the last."""
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
 
 
 def _grow_runs(runs: list[list[int]], t: int) -> None:
@@ -291,37 +269,39 @@ def _runs_to_parts(runs: list[list[int]]) -> tuple:
     return tuple(out)
 
 
+def _grow(n: int, alpha: float, rng: np.random.Generator):
+    """Grow the chain from (1) to a partition of n with float weights.
+
+    Returns the final run-length encoding and, per step, the 0-based
+    (row, col) of the added box, whose content is alpha col - row.
+    """
+    runs = [[1, 1]]
+    boxes = []
+    for _ in range(n - 1):
+        _, weights = _corner_law(runs, alpha)
+        total = math.fsum(weights)
+        if abs(total - 1.0) > 1e-6:
+            raise RuntimeError(f"corner weights sum to {total}, not 1")
+        t = _pick(weights, rng.random() * total)
+        row = 0
+        for _, k in runs[:t]:
+            row += k
+        boxes.append((row, runs[t][0] if t < len(runs) else 0))
+        _grow_runs(runs, t)
+    return runs, boxes
+
+
 def kerov_sample(n: int, alpha, rng: np.random.Generator):
     """Grow a partition of n from (1); returns (partition, added contents).
 
     The n-1 recorded contents are exact Fractions; transition weights are
-    evaluated on the float fast path.
+    evaluated in floats.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     alpha = Fraction(alpha)
-    af = float(alpha)
-    runs = [[1, 1]]
-    trajectory = []
-    for _ in range(n - 1):
-        contents, weights = _fast_corner_weights(runs, af)
-        total = math.fsum(weights)
-        if abs(total - 1.0) > 1e-6:
-            raise RuntimeError(f"corner weights sum to {total}, not 1")
-        u = rng.random() * total
-        acc = 0.0
-        t = len(weights) - 1
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                t = i
-                break
-        S_t = sum(k for _, k in runs[:t])
-        col = runs[t][0] + 1 if t < len(runs) else 1
-        row = (S_t if t < len(runs) else sum(k for _, k in runs)) + 1
-        trajectory.append(alpha * (col - 1) - (row - 1))
-        _grow_runs(runs, t)
-    return _runs_to_parts(runs), trajectory
+    runs, boxes = _grow(n, float(alpha), rng)
+    return _runs_to_parts(runs), [alpha * col - row for row, col in boxes]
 
 
 def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dict:
@@ -333,29 +313,17 @@ def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dic
     """
     if n < 2:
         raise ValueError("standardized sampling needs n >= 2")
-    alpha = Fraction(alpha)
-    af = float(alpha)
+    af = float(Fraction(alpha))
     scale = content_scale(n, alpha)
     w = np.empty(size)
     lam1_prev = np.empty(size, dtype=np.int64)
     for i in range(size):
-        runs = [[1, 1]]
+        runs, boxes = _grow(n, af, rng)
         y = 0.0
-        for step in range(n - 1):
-            contents, weights = _fast_corner_weights(runs, af)
-            u = rng.random() * math.fsum(weights)
-            acc = 0.0
-            t = len(weights) - 1
-            for j, wt in enumerate(weights):
-                acc += wt
-                if u < acc:
-                    t = j
-                    break
-            if step == n - 2:
-                lam1_prev[i] = runs[0][0]
-            y += contents[t]
-            _grow_runs(runs, t)
+        for row, col in boxes:
+            y += af * col - row
         w[i] = y / scale
+        lam1_prev[i] = runs[0][0] - (boxes[-1][0] == 0)  # first row before the last box
     return {"w": w, "lambda1_prev": lam1_prev}
 
 
@@ -430,24 +398,11 @@ def zero_bias_sample(n: int, alpha, rng: np.random.Generator) -> dict:
     scale = content_scale(n, alpha)
     pair = zero_bias_pair_distribution(parts, alpha)
 
-    u_t = rng.random()
-    acc = 0.0
-    t = float(pair.contents[-1]) / scale
-    for content, prob in zip(pair.contents, pair.corner_probs):
-        acc += float(prob)
-        if u_t < acc:
-            t = float(content) / scale
-            break
+    k = _pick([float(p) for p in pair.corner_probs], rng.random())
+    t = float(pair.contents[k]) / scale
 
     items = sorted(pair.weights.items())
-    u_sel = rng.random()
-    acc = 0.0
-    chosen = items[-1][0]
-    for ij, wt in items:
-        acc += float(wt)
-        if u_sel < acc:
-            chosen = ij
-            break
+    chosen = items[_pick([float(wt) for _, wt in items], rng.random())][0]
     t_dag = float(pair.contents[chosen[0]]) / scale
     t_ddag = float(pair.contents[chosen[1]]) / scale
     u = rng.random()
@@ -465,6 +420,11 @@ def zero_bias_sample(n: int, alpha, rng: np.random.Generator) -> dict:
         "t_ddagger": t_ddag,
         "lambda1_prev": parts[0],
     }
+
+
+def _jack_measure(n: int, alpha: Fraction) -> list[tuple[tuple, Fraction]]:
+    """Every partition of n with its exact Jack probability."""
+    return [(parts, jack_probability(parts, alpha)) for parts in enumerate_partitions(n)]
 
 
 def _u_integral(v: Fraction, ci: Fraction, cj: Fraction, power: int) -> Fraction:
@@ -496,7 +456,7 @@ def check_zero_bias_identity(n: int, alpha, coeffs: Sequence) -> dict:
     scale2 = alpha * binomial(n, 2)
     scale = float(scale2) ** 0.5
 
-    measure = [(parts, jack_probability(parts, alpha)) for parts in enumerate_partitions(n)]
+    measure = _jack_measure(n, alpha)
     y_moment = lambda j: sum(p * content_sum(parts, alpha) ** j for parts, p in measure)
 
     prev_law = chain_law(n - 1, alpha)
@@ -542,7 +502,7 @@ def check_jack_moments(n: int, alpha) -> dict:
     if n > 12:
         raise ValueError("full-measure moment check kept feasible only for n <= 12")
     alpha = Fraction(alpha)
-    measure = [(parts, jack_probability(parts, alpha)) for parts in enumerate_partitions(n)]
+    measure = _jack_measure(n, alpha)
     ey = sum(p * content_sum(parts, alpha) for parts, p in measure)
     ey2 = sum(p * content_sum(parts, alpha) ** 2 for parts, p in measure)
     return {"ey": ey, "ey2": ey2, "holds": ey == 0 and ey2 == alpha * binomial(n, 2)}
@@ -553,8 +513,7 @@ def exact_w_law(n: int, alpha) -> DiscreteLaw:
     alpha = Fraction(alpha)
     scale = content_scale(n, alpha)
     return law_from_pairs(
-        (float(content_sum(parts, alpha)) / scale, jack_probability(parts, alpha))
-        for parts in enumerate_partitions(n)
+        (float(content_sum(parts, alpha)) / scale, p) for parts, p in _jack_measure(n, alpha)
     )
 
 

@@ -94,3 +94,44 @@ def brute_er_isolated_law(n: int, m: int) -> dict[int, Fraction]:
         y = n - len(touched)
         acc[y] = acc.get(y, 0) + 1
     return {y: Fraction(c, total) for y, c in acc.items()}
+
+
+def _lower_hook_product(parts: tuple, alpha: Fraction) -> Fraction:
+    """prod over boxes of (alpha arm + leg + 1)."""
+    out = Fraction(1)
+    for r, lam in enumerate(parts):
+        for c in range(lam):
+            leg = sum(1 for below in parts[r + 1:] if below > c)
+            out *= alpha * (lam - 1 - c) + leg + 1
+    return out
+
+
+def literal_transition_probs(parts: tuple, alpha) -> list[tuple]:
+    """One-step Jack growth law from hook products, box by box.
+
+    Returns (corner, content, prob) per addable corner, top row first, with
+    1-based (row, col) corners.  The weight of a corner is the ratio of the
+    lower hook products of the old and grown diagram times the column
+    correction over the boxes above the new box.
+    """
+    alpha = Fraction(alpha)
+    corners = [(1, parts[0] + 1)]
+    corners += [(i + 1, parts[i] + 1) for i in range(1, len(parts)) if parts[i] < parts[i - 1]]
+    corners.append((len(parts) + 1, 1))
+    old_hooks = _lower_hook_product(parts, alpha)
+    out = []
+    for r, c in corners:
+        grown = list(parts) + [0]
+        grown[r - 1] += 1
+        grown = tuple(p for p in grown if p)
+        psi = Fraction(1)
+        for i in range(1, r):
+            a_new = grown[i - 1] - c
+            l_new = sum(1 for rr in range(i, len(grown)) if grown[rr] >= c)
+            a_old = parts[i - 1] - c
+            l_old = sum(1 for rr in range(i, len(parts)) if parts[rr] >= c)
+            psi *= (alpha * a_new + l_new + 1) / (alpha * a_new + l_new + alpha)
+            psi *= (alpha * a_old + l_old + alpha) / (alpha * a_old + l_old + 1)
+        prob = old_hooks / _lower_hook_product(grown, alpha) * psi
+        out.append(((r, c), alpha * (c - 1) - (r - 1), prob))
+    return out

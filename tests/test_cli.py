@@ -111,6 +111,14 @@ class TestJackReport:
         assert float(row["single_column_prob"]) >= math.exp(-1.0 / 8)
         assert row["in_region"] == "False"
 
+    def test_zero_confidence_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            ["jack-report", "--grid", "16,64", "--samples", "200", "--confidence", "0"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "config error" in err and "confidence" in err
+
 
 class TestVerify:
     def test_clean_suite_passes(self, capsys, tmp_path):
@@ -186,6 +194,14 @@ class TestConfigFile:
         code, _, err = run_cli(["er-report", "--config", str(conf), "--grid", "4,2"], capsys)
         assert code == 2
         assert "config error" in err
+
+    def test_confidence_out_of_range_in_file(self, capsys, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("confidence=1.5\n")
+        code, out, err = run_cli(["er-report", "--config", str(conf), "--grid", "4,2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "config error" in err and "confidence" in err
 
     def test_thresholds_flag(self, capsys):
         code, out, _ = run_cli(

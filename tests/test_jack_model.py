@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from steinlab import jack_model as jm
 
-from oracles import partition_count
+from oracles import literal_transition_probs, partition_count
 
 ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
+LAW_ALPHAS = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2)]
 
 
 class TestArmLeg:
@@ -125,40 +128,43 @@ class TestKerovTransitions:
             for parts, prob in law.items():
                 assert prob == jm.jack_probability(parts, alpha)
 
-    def test_fast_weights_match_exact(self):
-        for n in range(1, 9):
+    def test_law_matches_literal_oracle(self):
+        for n in range(1, 13):
             for parts in jm.enumerate_partitions(n):
-                runs = []
-                for p in parts:
-                    if runs and runs[-1][0] == p:
-                        runs[-1][1] += 1
-                    else:
-                        runs.append([p, 1])
-                for alpha in ALPHAS:
+                for alpha in LAW_ALPHAS:
+                    dist = jm.kerov_transition_probs(parts, alpha)
+                    assert list(zip(dist.corners, dist.contents, dist.probs)) == (
+                        literal_transition_probs(parts, alpha)
+                    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10), min_size=1, max_size=10)
+        .filter(lambda xs: sum(xs) <= 30)
+        .map(lambda xs: tuple(sorted(xs, reverse=True))),
+        st.builds(Fraction, st.integers(1, 30), st.integers(1, 8)),
+    )
+    def test_law_matches_literal_oracle_random(self, parts, alpha):
+        dist = jm.kerov_transition_probs(parts, alpha)
+        assert list(zip(dist.corners, dist.contents, dist.probs)) == (
+            literal_transition_probs(parts, alpha)
+        )
+        _, weights = jm._corner_law(jm._parts_to_runs(parts), float(alpha))
+        for w, p in zip(weights, dist.probs):
+            assert w == pytest.approx(float(p), rel=1e-11, abs=1e-13)
+
+    def test_float_law_matches_exact(self):
+        for n in range(1, 13):
+            for parts in jm.enumerate_partitions(n):
+                runs = jm._parts_to_runs(parts)
+                for alpha in LAW_ALPHAS:
                     exact = jm.kerov_transition_probs(parts, alpha)
-                    contents, weights = jm._fast_corner_weights(runs, float(alpha))
+                    contents, weights = jm._corner_law(runs, float(alpha))
                     assert len(weights) == len(exact.probs)
                     for w, p in zip(weights, exact.probs):
                         assert w == pytest.approx(float(p), abs=1e-13)
                     for cf, ce in zip(contents, exact.contents):
                         assert cf == pytest.approx(float(ce), abs=1e-12)
-
-    def test_fast_weights_match_exact_random_large(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(50):
-            n = int(rng.integers(10, 41))
-            parts, _ = jm.kerov_sample(n, Fraction(3, 2), rng)
-            runs = []
-            for p in parts:
-                if runs and runs[-1][0] == p:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([p, 1])
-            alpha = Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 8)))
-            exact = jm.kerov_transition_probs(parts, alpha)
-            _, weights = jm._fast_corner_weights(runs, float(alpha))
-            for w, p in zip(weights, exact.probs):
-                assert w == pytest.approx(float(p), rel=1e-11, abs=1e-13)
 
 
 class TestKerovSampling:
@@ -210,6 +216,17 @@ class TestKerovSampling:
         assert np.array_equal(b1["lambda1_prev"], b2["lambda1_prev"])
         assert (b1["lambda1_prev"] >= 1).all()
         assert (b1["lambda1_prev"] <= 9).all()
+
+    def test_samplers_share_the_growth_loop(self):
+        for n, alpha in ((2, Fraction(2)), (12, Fraction(3, 2)), (40, Fraction(1))):
+            for seed in range(5):
+                batch = jm.sample_jack_batch(n, alpha, np.random.default_rng(seed), 1)
+                parts, _ = jm.kerov_sample(n, alpha, np.random.default_rng(seed))
+                assert batch["w"][0] == pytest.approx(
+                    jm.standardized_content(parts, alpha), abs=1e-12
+                )
+                prev, _ = jm.kerov_sample(n - 1, alpha, np.random.default_rng(seed))
+                assert batch["lambda1_prev"][0] == prev[0]
 
 
 class TestDegeneracyAndRegion:
@@ -271,17 +288,3 @@ class TestExactWLaw:
         law = jm.exact_w_law(2, 1)
         assert sorted(v for v, _ in law.atoms) == [-1.0, 1.0]
         assert all(p == Fraction(1, 2) for _, p in law.atoms)
-
-
-class TestPartitionSerialization:
-    def test_round_trip(self):
-        assert jm.parse_partition("4,2,1") == (4, 2, 1)
-        assert jm.format_partition((4, 2, 1)) == "4,2,1"
-        for parts in jm.enumerate_partitions(7):
-            assert jm.parse_partition(jm.format_partition(parts)) == parts
-
-    def test_invalid_text(self):
-        with pytest.raises(ValueError):
-            jm.parse_partition("1,2")
-        with pytest.raises(ValueError):
-            jm.parse_partition("3,0")
