@@ -2,7 +2,6 @@
 couplings on the fixed-edge-count random graph and Jack-measure partitions."""
 
 from .exactnum import (
-    BigRational,
     HypergeometricParams,
     binomial,
     falling_factorial,
@@ -16,7 +15,6 @@ from .jack_model import JackParams, jack_probability, kerov_sample
 from .stein_core import DiscreteLaw, RecursionSpec, empirical_kolmogorov
 
 __all__ = [
-    "BigRational",
     "HypergeometricParams",
     "binomial",
     "falling_factorial",

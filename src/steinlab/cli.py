@@ -4,11 +4,14 @@ Subcommands::
 
     steinlab er-report   --grid "100,100;200,200" --samples 100000 ...
     steinlab jack-report --grid "16,64;32,181.019336" --epsilon 0.4 ...
-    steinlab verify      [--out report.json] [--seed S]
+    steinlab verify      [--out report.json]
     steinlab recursion   --q 0.5 --c 1 --n 10 [--chain 50]
     steinlab hyp         --params 20,5,6 [--k 2] [--t 1.0] [--moment 3]
 
-A key=value config file supplies defaults; command-line flags override it.
+Every report option is declared once, in ``OPTIONS``; a key=value config
+file (``--config``) takes the same keys as the flags, and flags override it.
+A key the command does not take, or a value out of range, is a configuration
+error whether it comes from the file or from a flag.
 CSV output starts with a ``# schema=1`` comment line; the JSON mirror carries
 the same rows.  Exit codes: 0 success, 1 check failure, 2 configuration
 error.  The master seed is split per (task, grid index), so results do not
@@ -24,13 +27,14 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from . import er_model, exactnum, jack_model, stein_core
 
 SCHEMA = 1
-TASK_IDS = {"er-report": 1, "jack-report": 2, "verify": 3}
+TASK_IDS = {"er-report": 1, "jack-report": 2}
 
 ER_COLUMNS = [
     "n", "m", "mu", "sigma2", "rate", "mu_approx", "sigma2_approx",
@@ -69,7 +73,9 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str, command: str) -> list:
+    """Semicolon-separated pairs, each built into the command's parameter type."""
+    point = REPORTS[command][0]
     points = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -77,17 +83,20 @@ def _parse_grid(text: str):
             continue
         fields = [f.strip() for f in chunk.split(",")]
         if len(fields) != 2:
-            raise ConfigError(f"grid point needs two fields: {chunk!r}")
-        points.append(tuple(fields))
+            raise ConfigError(f"point needs two fields: {chunk!r}")
+        try:
+            points.append(point(*fields))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"point {chunk!r}: {exc}") from None
     if not points:
         raise ConfigError("empty grid")
     return points
 
 
-def _parse_thresholds(text: str) -> dict:
+def _parse_thresholds(text: str, command: str) -> dict:
     fields = [f.strip() for f in text.split(",")]
     if len(fields) != 3:
-        raise ConfigError("thresholds must be n_bar,m_bar,c_bar")
+        raise ConfigError("must be n_bar,m_bar,c_bar")
     return {"n_bar": int(fields[0]), "m_bar": int(fields[1]), "c_bar": Fraction(fields[2])}
 
 
@@ -128,16 +137,14 @@ def _emit(rows: list[dict], columns: list[str], out_path: str | None, fmt: str) 
 # ---------------------------------------------------------------------------
 
 
-def _er_row(args_tuple) -> dict:
-    (n, m), samples, seed, confidence, thresholds, grid_index = args_tuple
-    params = er_model.ErParams(n, m)
+def _er_row(config: dict, grid_index: int, params: er_model.ErParams) -> dict:
     mu, s2 = er_model.exact_moments(params)
     mu_a, s2_a = er_model.asymptotic_moments(params)
     neg = er_model.check_negative_correlation(params)
     lem6 = er_model.check_moment_sandwich(params)
     row = {
-        "n": n,
-        "m": m,
+        "n": params.n,
+        "m": params.m,
         "mu": float(mu),
         "sigma2": float(s2),
         "rate": er_model.rate(params),
@@ -148,32 +155,21 @@ def _er_row(args_tuple) -> dict:
         if lem6["applicable"]
         else None,
         "domain": er_model.domain_label(params),
-        "in_region": er_model.in_parameter_region(params, thresholds),
+        "in_region": er_model.in_parameter_region(params, config["thresholds"]),
     }
     if s2 > 0:
-        rng = _spawn_rng(seed, "er-report", grid_index)
-        kol = er_model.kolmogorov_estimate(params, rng, samples, confidence)
+        rng = _spawn_rng(config["seed"], "er-report", grid_index)
+        kol = er_model.kolmogorov_estimate(params, rng, config["samples"], config["confidence"])
         row.update(
             delta_hat=kol["delta_hat"],
             dkw_band=kol["dkw_band"],
             delta_times_rate=kol["delta_times_rate"],
         )
-        if exactnum.binomial(params.slots, m) <= EXACT_DELTA_LIMIT:
+        if exactnum.binomial(params.slots, params.m) <= EXACT_DELTA_LIMIT:
             row["exact_delta"] = stein_core.kolmogorov_discrete_vs_normal(
                 er_model.exact_w_law(params)
             )
     return row
-
-
-def run_er_report(config: dict) -> int:
-    grid = [(int(a), int(b)) for a, b in _parse_grid(config["grid"])]
-    tasks = [
-        (pt, config["samples"], config["seed"], config["confidence"], config["thresholds"], i)
-        for i, pt in enumerate(grid)
-    ]
-    rows = _run_pool(_er_row, tasks, config["workers"])
-    _emit(rows, ER_COLUMNS, config["out"], config["format"])
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +177,11 @@ def run_er_report(config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _jack_row(args_tuple) -> dict:
-    (n_text, alpha_text), samples, seed, confidence, epsilon, grid_index = args_tuple
-    params = jack_model.JackParams(int(n_text), Fraction(alpha_text))
+def _jack_row(config: dict, grid_index: int, params: jack_model.JackParams) -> dict:
     n, alpha = params.n, params.alpha
-    rng = _spawn_rng(seed, "jack-report", grid_index)
-    kol = jack_model.kolmogorov_estimate(n, alpha, rng, samples, confidence)
+    samples, epsilon = config["samples"], config["epsilon"]
+    rng = _spawn_rng(config["seed"], "jack-report", grid_index)
+    kol = jack_model.kolmogorov_estimate(n, alpha, rng, samples, config["confidence"])
     lam1 = kol.pop("lambda1_prev")
     was = jack_model.check_wasserstein_bound(n, alpha, rng, max(samples // 10, 100))
     region = jack_model.rate_and_region(n, alpha, epsilon)
@@ -210,22 +205,27 @@ def _jack_row(args_tuple) -> dict:
     }
 
 
-def run_jack_report(config: dict) -> int:
-    grid = _parse_grid(config["grid"])
-    tasks = [
-        (pt, config["samples"], config["seed"], config["confidence"], config["epsilon"], i)
-        for i, pt in enumerate(grid)
-    ]
-    rows = _run_pool(_jack_row, tasks, config["workers"])
-    _emit(rows, JACK_COLUMNS, config["out"], config["format"])
+# command -> (grid point from its two text fields, row function, columns)
+REPORTS = {
+    "er-report": (lambda n, m: er_model.ErParams(int(n), int(m)), _er_row, ER_COLUMNS),
+    "jack-report": (
+        lambda n, alpha: jack_model.JackParams(int(n), Fraction(alpha)), _jack_row, JACK_COLUMNS
+    ),
+}
+
+
+def run_report(command: str, config: dict) -> int:
+    """One row per grid point; rows do not depend on ``workers``."""
+    _, row_fn, columns = REPORTS[command]
+    grid = config["grid"]
+    tasks = (repeat(config), range(len(grid)), grid)
+    if config["workers"] > 1:
+        with ProcessPoolExecutor(max_workers=config["workers"]) as pool:
+            rows = list(pool.map(row_fn, *tasks))
+    else:
+        rows = list(map(row_fn, *tasks))
+    _emit(rows, columns, config["out"], config["format"])
     return 0
-
-
-def _run_pool(fn, tasks, workers: int) -> list:
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +407,51 @@ def run_hyp(config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(convert, ok, need: str):
+    """Option parser: ``convert`` the text, then require ``ok`` of the value."""
+
+    def parse(text: str, command: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ConfigError(f"must be {need}, got {text!r}")
+        return value
+
+    return parse
+
+
+_BOTH = tuple(REPORTS)
+_OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+
+# key -> (parse(text, command), default, commands that take it)
+OPTIONS = {
+    "grid": (_parse_grid, None, _BOTH),
+    "samples": (_checked(int, lambda v: v >= 100, "an integer >= 100"), 10_000, _BOTH),
+    "seed": (_checked(int, lambda v: v >= 0, "an integer >= 0"), 1, _BOTH),
+    "confidence": (_OPEN_UNIT, 0.05, _BOTH),
+    "epsilon": (_OPEN_UNIT, 0.4, ("jack-report",)),
+    "thresholds": (_parse_thresholds, None, ("er-report",)),
+    "out": (_checked(str, bool, "a file path"), None, _BOTH),
+    "format": (_checked(str, ("csv", "json").__contains__, "csv or json"), "csv", _BOTH),
+    "workers": (_checked(int, lambda v: v >= 1, "an integer >= 1"), 1, _BOTH),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="steinlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value defaults file")
-        p.add_argument("--grid")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--confidence", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--thresholds", help="n_bar,m_bar,c_bar")
-        p.add_argument("--workers", type=int)
-
-    common(sub.add_parser("er-report"))
-    common(sub.add_parser("jack-report"))
+    for command in REPORTS:
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="key=value file; keys are this command's flag names")
+        for key, (_, _, commands) in OPTIONS.items():
+            if command in commands:
+                p.add_argument(f"--{key}")
 
     pv = sub.add_parser("verify")
-    pv.add_argument("--config")
     pv.add_argument("--out")
-    pv.add_argument("--seed", type=int)
     pv.add_argument("--perturb-kerov", type=float, default=0.0, dest="perturb_kerov")
 
     pr = sub.add_parser("recursion")
@@ -446,64 +468,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-DEFAULTS = {
-    "samples": 10_000,
-    "seed": 1,
-    "confidence": 0.05,
-    "epsilon": 0.4,
-    "format": "csv",
-    "out": None,
-    "workers": 1,
-}
-
-
 def _assemble_config(args: argparse.Namespace) -> dict:
-    config = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        file_conf = _parse_config_file(args.config)
-        for key, value in file_conf.items():
-            if key in ("samples", "seed", "workers"):
-                config[key] = int(value)
-            elif key in ("confidence", "epsilon"):
-                config[key] = float(value)
-            elif key == "thresholds":
-                config[key] = _parse_thresholds(value)
-            else:
-                config[key] = value
-    for key in ("grid", "samples", "seed", "confidence", "epsilon", "out", "format", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    if getattr(args, "thresholds", None):
-        config["thresholds"] = _parse_thresholds(args.thresholds)
-    config.setdefault("thresholds", None)
-    if isinstance(config.get("thresholds"), str):
-        config["thresholds"] = _parse_thresholds(config["thresholds"])
-    if not 0 < config["confidence"] < 1:
-        raise ConfigError(f"confidence must lie in (0, 1), got {config['confidence']!r}")
+    """Defaults, then the config file, then flags; each value parsed by its OPTIONS entry."""
+    command = args.command
+    texts = list(_parse_config_file(args.config).items()) if args.config else []
+    texts += [(key, getattr(args, key)) for key in OPTIONS if getattr(args, key, None) is not None]
+    config = {key: default for key, (_, default, commands) in OPTIONS.items() if command in commands}
+    for key, text in texts:
+        if key not in config:
+            raise ConfigError(f"{key!r} is not an option of {command}")
+        try:
+            config[key] = OPTIONS[key][0](text, command)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    if config["grid"] is None:
+        raise ConfigError(f"{command} requires --grid")
     return config
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "er-report":
-            config = _assemble_config(args)
-            if not config.get("grid"):
-                raise ConfigError("er-report requires --grid")
-            if config["samples"] < 100:
-                raise ConfigError("need samples >= 100")
-            return run_er_report(config)
-        if args.command == "jack-report":
-            config = _assemble_config(args)
-            if not config.get("grid"):
-                raise ConfigError("jack-report requires --grid")
-            if config["samples"] < 100:
-                raise ConfigError("need samples >= 100")
-            return run_jack_report(config)
+        if args.command in REPORTS:
+            return run_report(args.command, _assemble_config(args))
         if args.command == "verify":
-            config = {"out": args.out, "perturb_kerov": args.perturb_kerov}
-            code, _ = run_verify_suite(config)
+            code, _ = run_verify_suite({"out": args.out, "perturb_kerov": args.perturb_kerov})
             return code
         if args.command == "recursion":
             return run_recursion({"q": args.q, "c": args.c, "n": args.n, "chain": args.chain})

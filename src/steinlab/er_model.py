@@ -85,14 +85,7 @@ def sample_graph(params: ErParams, rng: np.random.Generator) -> ErGraphState:
 
 
 def degrees(graph: ErGraphState) -> list[int]:
-    n = graph.params.n
-    table = pair_table(n)
-    deg = [0] * (n + 1)
-    for slot in graph.edge_slots():
-        v, w = table[slot - 1]
-        deg[v] += 1
-        deg[w] += 1
-    return deg[1:]
+    return _degrees_of_edges(graph.edge_slots(), pair_table(graph.params.n), graph.params.n)
 
 
 def isolated_count(graph: ErGraphState) -> int:
@@ -267,6 +260,14 @@ class DegenerateParamsError(ValueError):
     pass
 
 
+def _nondegenerate_moments(params: ErParams) -> tuple[Fraction, Fraction]:
+    """exact_moments, raising DegenerateParamsError when sigma^2 = 0."""
+    mu, s2 = exact_moments(params)
+    if s2 == 0:
+        raise DegenerateParamsError(f"sigma^2 = 0 at {params}")
+    return mu, s2
+
+
 @dataclass(frozen=True)
 class ErCouplingSample:
     w: float
@@ -279,9 +280,7 @@ class ErCouplingSample:
 
 def coupling_sample(params: ErParams, rng: np.random.Generator) -> ErCouplingSample:
     """One standardized draw (W, W', G, D) from the coupling construction."""
-    mu, s2 = exact_moments(params)
-    if s2 == 0:
-        raise DegenerateParamsError(f"sigma^2 = 0 at {params}")
+    mu, s2 = _nondegenerate_moments(params)
     sigma = float(s2) ** 0.5
     graph = sample_graph(params, rng)
     v = int(rng.integers(1, params.n + 1))
@@ -332,9 +331,7 @@ def exact_y_law(params: ErParams) -> DiscreteLaw:
 
 def exact_w_law(params: ErParams) -> DiscreteLaw:
     """Law of W = (Y - mu)/sigma as float atoms with exact probabilities."""
-    mu, s2 = exact_moments(params)
-    if s2 == 0:
-        raise DegenerateParamsError(f"sigma^2 = 0 at {params}")
+    mu, s2 = _nondegenerate_moments(params)
     sigma = float(s2) ** 0.5
     y_law = exact_y_law(params)
     return DiscreteLaw(tuple(((y - float(mu)) / sigma, p) for y, p in y_law.atoms))
@@ -516,9 +513,7 @@ def kolmogorov_estimate(
     confidence: float = 0.05,
 ) -> dict:
     """Empirical Kolmogorov distance of standardized counts to the normal."""
-    mu, s2 = exact_moments(params)
-    if s2 == 0:
-        raise DegenerateParamsError(f"sigma^2 = 0 at {params}")
+    mu, s2 = _nondegenerate_moments(params)
     sigma = float(s2) ** 0.5
     y = sample_isolated_counts(params, rng, samples)
     w = (y - float(mu)) / sigma
@@ -537,9 +532,7 @@ def gd_conditional_variance_estimate(
     sampled state: (1/sigma^2) sum_v (I_v - mu/n) B_v, with an independent
     candidate stream per vertex.
     """
-    mu, s2 = exact_moments(params)
-    if s2 == 0:
-        raise DegenerateParamsError(f"sigma^2 = 0 at {params}")
+    mu, s2 = _nondegenerate_moments(params)
     n = params.n
     mu_f, s2_f = float(mu), float(s2)
     vals = np.empty(samples)

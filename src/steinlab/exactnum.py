@@ -12,10 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact rational scalar used throughout the package.  Fraction already keeps
-# denominators positive and gcd-reduced after every operation.
-BigRational = Fraction
-
 # Float slack absorbing the exact->float conversion in bound checkers.
 FLOAT_SLACK = 1e-12
 

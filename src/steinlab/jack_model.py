@@ -50,11 +50,6 @@ class JackParams:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    @property
-    def alpha_float(self) -> float:
-        return float(self.alpha)
-
-
 def _validate_partition(parts: Sequence[int]) -> tuple:
     parts = tuple(int(p) for p in parts)
     if not parts or any(p <= 0 for p in parts):

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from steinlab import cli
+from steinlab import cli, jack_model
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -56,6 +61,17 @@ class TestErReport:
         code, _, err = run_cli(["er-report", "--grid", ";"], capsys)
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "0"], ["--workers", "-3"], ["--grid", "4,2;2,1"]],
+        ids=["workers-0", "workers-negative", "bad-grid-point"],
+    )
+    def test_bad_value_is_config_error(self, capsys, flags):
+        code, out, err = run_cli(["er-report", "--grid", "4,2", "--samples", "200"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: ")
 
     def test_missing_grid(self, capsys):
         code, _, _ = run_cli(["er-report"], capsys)
@@ -118,6 +134,18 @@ class TestJackReport:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "config error" in err and "confidence" in err
+
+    def test_bad_epsilon_fails_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(jack_model, "sample_jack_batch", no_sampling)
+        code, out, err = run_cli(
+            ["jack-report", "--grid", "16,64", "--samples", "200", "--epsilon", "2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "config error" in err and "epsilon" in err
 
 
 class TestVerify:
@@ -203,6 +231,26 @@ class TestConfigFile:
         assert out == ""
         assert err.count("\n") == 1 and "config error" in err and "confidence" in err
 
+    @pytest.mark.parametrize(
+        "line, key", [("format=xml", "format"), ("sampels=5", "sampels"), ("epsilon=0.3", "epsilon")]
+    )
+    def test_bad_file_line_is_config_error(self, capsys, tmp_path, line, key):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        code, out, err = run_cli(["er-report", "--config", str(conf), "--grid", "4,2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "config error" in err and key in err
+
+    def test_thresholds_file_matches_flag(self, capsys, tmp_path):
+        conf = tmp_path / "th.conf"
+        conf.write_text("thresholds=5,1,1\n")
+        base = ["er-report", "--grid", "10,5;20,30", "--samples", "200", "--seed", "1"]
+        code_file, out_file, _ = run_cli(base + ["--config", str(conf)], capsys)
+        code_flag, out_flag, _ = run_cli(base + ["--thresholds", "5,1,1"], capsys)
+        assert code_file == code_flag == 0
+        assert out_file == out_flag
+
     def test_thresholds_flag(self, capsys):
         code, out, _ = run_cli(
             ["er-report", "--grid", "10,5", "--samples", "200", "--seed", "1",
@@ -211,6 +259,37 @@ class TestConfigFile:
         )
         assert code == 0
         assert json.loads(out)["rows"][0]["in_region"] == "True"
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["er-report", "--grid", "4,2", "--epsilon", "0.4"],
+            ["jack-report", "--grid", "16,64", "--thresholds", "1,2,3"],
+            ["verify", "--seed", "99"],
+            ["verify", "--config", "exp.conf"],
+        ],
+        ids=["er-epsilon", "jack-thresholds", "verify-seed", "verify-config"],
+    )
+    def test_option_the_command_does_not_take_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_readme_report_lines_parse(self):
+        lines = [
+            line.strip()
+            for line in README.read_text().splitlines()
+            if re.match(r"\s*steinlab (er|jack)-report ", line)
+        ]
+        assert {shlex.split(line)[1] for line in lines} == {"er-report", "jack-report"}
+        for line in lines:
+            args = cli._build_parser().parse_args(shlex.split(line)[1:])
+            cli._assemble_config(args)
 
 
 class TestEntryPoint:

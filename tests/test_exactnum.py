@@ -208,12 +208,3 @@ class TestPhi:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ex.phi(-1.0)
-
-
-class TestBigRational:
-    def test_reduced_invariants(self):
-        x = ex.BigRational(6, -4)
-        assert x.denominator > 0
-        assert math.gcd(abs(x.numerator), x.denominator) == 1
-        y = x + ex.BigRational(1, 2) * ex.BigRational(2, 3)
-        assert math.gcd(abs(y.numerator), y.denominator) == 1
