@@ -69,7 +69,10 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"bad config line: {raw.rstrip()}")
             key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ConfigError(f"{key!r} is set more than once")
+            out[key] = value.strip()
     return out
 
 
@@ -235,7 +238,6 @@ def run_report(command: str, config: dict) -> int:
 
 def run_verify_suite(config: dict) -> tuple[int, dict]:
     """Exact checks over the fixed verification grid; deterministic."""
-    perturb = config.get("perturb_kerov", 0.0)
     results: dict[str, bool] = {}
 
     alphas = [Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -254,10 +256,7 @@ def run_verify_suite(config: dict) -> tuple[int, dict]:
         for alpha in alphas:
             law = jack_model.chain_law(n, alpha)
             for parts, prob in law.items():
-                target = jack_model.jack_probability(parts, alpha)
-                if perturb:
-                    target += Fraction(perturb).limit_denominator(10**9)
-                ok = ok and prob == target
+                ok = ok and prob == jack_model.jack_probability(parts, alpha)
     results["kerov_consistency"] = ok
 
     ok = True
@@ -265,8 +264,6 @@ def run_verify_suite(config: dict) -> tuple[int, dict]:
         for alpha in alphas:
             for parts in jack_model.enumerate_partitions(n - 1) if n > 1 else []:
                 m1, m2 = jack_model.conditional_t_moments(parts, alpha, n)
-                if perturb:
-                    m2 += Fraction(perturb).limit_denominator(10**9)
                 ok = ok and m1 == 0 and m2 == Fraction(2, n)
     results["conditional_t_moments"] = ok
 
@@ -358,10 +355,13 @@ def run_verify_suite(config: dict) -> tuple[int, dict]:
 
 
 def run_recursion(config: dict) -> int:
+    for key in ("n", "chain"):
+        if config[key] is not None and config[key] < 1:
+            raise ConfigError(f"{key}: must be an integer >= 1, got {config[key]}")
     spec = stein_core.RecursionSpec(config["q"], config["c"])
     lines = [f"a_{n} = {stein_core.recursion_closed_form(spec, n)!r}" for n in range(1, config["n"] + 1)]
     lines.append(f"limit c/(1-q) = {config['c'] / (1 - config['q'])!r}")
-    if config.get("chain"):
+    if config["chain"] is not None:
         kernel = chain_kernel(config["chain"], config["q"])
         solved = stein_core.recursion_bound_solve(kernel, spec)
         lines.append(f"chain({config['chain']}) sup a = {max(solved['a'].values())!r}")
@@ -452,7 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify")
     pv.add_argument("--out")
-    pv.add_argument("--perturb-kerov", type=float, default=0.0, dest="perturb_kerov")
 
     pr = sub.add_parser("recursion")
     pr.add_argument("--q", type=float, required=True)
@@ -492,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in REPORTS:
             return run_report(args.command, _assemble_config(args))
         if args.command == "verify":
-            code, _ = run_verify_suite({"out": args.out, "perturb_kerov": args.perturb_kerov})
+            code, _ = run_verify_suite({"out": args.out})
             return code
         if args.command == "recursion":
             return run_recursion({"q": args.q, "c": args.c, "n": args.n, "chain": args.chain})

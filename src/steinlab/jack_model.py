@@ -10,7 +10,8 @@ the removable boxes plus alpha - 1,
 
 One implementation, ``_corner_law``, evaluates it over a run-length encoding
 of the partition; it is exact for a Fraction alpha and serves the samplers
-with a float alpha.
+with a float alpha.  The zero-bias pair law is likewise one ``_pair_weights``:
+the sampler draws from it in floats, the exact identity check reads it exactly.
 
 The deformation parameter alpha is carried as an exact Fraction wherever a
 probability or content is produced; the irrational scale sqrt(alpha C(n,2))
@@ -238,6 +239,15 @@ def _pick(weights, u: float) -> int:
     return len(weights) - 1
 
 
+def _float_law(runs: list[list[int]], alpha: float):
+    """Float ``_corner_law`` plus its weight total, which must be 1 up to rounding."""
+    contents, weights = _corner_law(runs, alpha)
+    total = math.fsum(weights)
+    if abs(total - 1.0) > 1e-6:
+        raise RuntimeError(f"corner weights sum to {total}, not 1")
+    return contents, weights, total
+
+
 def _grow_runs(runs: list[list[int]], t: int) -> None:
     """Add a box at corner index t (len(runs) = bottom corner), in place."""
     if t == len(runs):
@@ -267,23 +277,24 @@ def _runs_to_parts(runs: list[list[int]]) -> tuple:
 def _grow(n: int, alpha: float, rng: np.random.Generator):
     """Grow the chain from (1) to a partition of n with float weights.
 
-    Returns the final run-length encoding and, per step, the 0-based
-    (row, col) of the added box, whose content is alpha col - row.
+    Returns the final run-length encoding, per step the 0-based (row, col)
+    of the added box, whose content is alpha col - row, and the float sum
+    of those contents.
     """
     runs = [[1, 1]]
     boxes = []
+    y = 0.0
     for _ in range(n - 1):
-        _, weights = _corner_law(runs, alpha)
-        total = math.fsum(weights)
-        if abs(total - 1.0) > 1e-6:
-            raise RuntimeError(f"corner weights sum to {total}, not 1")
+        _, weights, total = _float_law(runs, alpha)
         t = _pick(weights, rng.random() * total)
         row = 0
         for _, k in runs[:t]:
             row += k
-        boxes.append((row, runs[t][0] if t < len(runs) else 0))
+        col = runs[t][0] if t < len(runs) else 0
+        boxes.append((row, col))
+        y += alpha * col - row
         _grow_runs(runs, t)
-    return runs, boxes
+    return runs, boxes, y
 
 
 def kerov_sample(n: int, alpha, rng: np.random.Generator):
@@ -295,7 +306,7 @@ def kerov_sample(n: int, alpha, rng: np.random.Generator):
     if n < 1:
         raise ValueError("n must be >= 1")
     alpha = Fraction(alpha)
-    runs, boxes = _grow(n, float(alpha), rng)
+    runs, boxes, _ = _grow(n, float(alpha), rng)
     return _runs_to_parts(runs), [alpha * col - row for row, col in boxes]
 
 
@@ -313,10 +324,7 @@ def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dic
     w = np.empty(size)
     lam1_prev = np.empty(size, dtype=np.int64)
     for i in range(size):
-        runs, boxes = _grow(n, af, rng)
-        y = 0.0
-        for row, col in boxes:
-            y += af * col - row
+        runs, boxes, y = _grow(n, af, rng)
         w[i] = y / scale
         lam1_prev[i] = runs[0][0] - (boxes[-1][0] == 0)  # first row before the last box
     return {"w": w, "lambda1_prev": lam1_prev}
@@ -355,25 +363,25 @@ class ZeroBiasPair:
     normalizer: Fraction  # exact E (T' - T'')^2, equal to 4/n
 
 
+def _pair_weights(contents, probs) -> dict:
+    """(i, j) -> p_i p_j (x_i - x_j)^2 for i != j, row-major, in the inputs'
+    number type; all positive, as distinct corners have distinct contents."""
+    return {
+        (i, j): probs[i] * probs[j] * (contents[i] - contents[j]) ** 2
+        for i, j in itertools.permutations(range(len(contents)), 2)
+    }
+
+
 def zero_bias_pair_distribution(parts: Sequence[int], alpha) -> ZeroBiasPair:
-    """Exact pair table with weights p_i p_j (t_i - t_j)^2 / (4/n)."""
+    """Exact pair table with weights p_i p_j (t_i - t_j)^2 / (4/n), for the exact check."""
     parts = _validate_partition(parts)
     n = sum(parts) + 1
     alpha = Fraction(alpha)
     dist = kerov_transition_probs(parts, alpha)
-    scale2 = alpha * binomial(n, 2)
-    raw: dict = {}
-    normalizer = Fraction(0)
-    for i, (pi, ci) in enumerate(zip(dist.probs, dist.contents)):
-        for j, (pj, cj) in enumerate(zip(dist.probs, dist.contents)):
-            if i == j:
-                continue
-            wt = pi * pj * (ci - cj) ** 2 / scale2
-            normalizer += wt
-            if wt:
-                raw[(i, j)] = wt
-    weights = {ij: wt / normalizer for ij, wt in raw.items()}
-    return ZeroBiasPair(dist.contents, dist.probs, weights, normalizer)
+    raw = _pair_weights(dist.contents, dist.probs)
+    total = sum(raw.values())
+    weights = {ij: wt / total for ij, wt in raw.items()}
+    return ZeroBiasPair(dist.contents, dist.probs, weights, total / (alpha * binomial(n, 2)))
 
 
 def zero_bias_sample(n: int, alpha, rng: np.random.Generator) -> dict:
@@ -383,38 +391,28 @@ def zero_bias_sample(n: int, alpha, rng: np.random.Generator) -> dict:
     conditionally independently, the reweighted pair (T-dagger, T-ddagger)
     with an independent uniform mixer, so that W = V/scale + T has the
     content law at n and W* = V/scale + U T-dagger + (1-U) T-ddagger its
-    zero-bias transform; D = W* - W = T* - T.
+    zero-bias transform; D = W* - W = T* - T.  All of it runs on the float
+    growth law; ``lambda1_prev`` is the first row at time n-1.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    alpha = Fraction(alpha)
-    parts, _ = kerov_sample(n - 1, alpha, rng)
-    v = content_sum(parts, alpha)
+    af = float(Fraction(alpha))
+    runs, _, v = _grow(n - 1, af, rng)
     scale = content_scale(n, alpha)
-    pair = zero_bias_pair_distribution(parts, alpha)
+    contents, probs, _ = _float_law(runs, af)
 
-    k = _pick([float(p) for p in pair.corner_probs], rng.random())
-    t = float(pair.contents[k]) / scale
+    t = contents[_pick(probs, rng.random())] / scale
 
-    items = sorted(pair.weights.items())
-    chosen = items[_pick([float(wt) for _, wt in items], rng.random())][0]
-    t_dag = float(pair.contents[chosen[0]]) / scale
-    t_ddag = float(pair.contents[chosen[1]]) / scale
+    pairs = _pair_weights(contents, probs)
+    weights = list(pairs.values())
+    i, j = list(pairs)[_pick(weights, rng.random() * math.fsum(weights))]
+    t_dag = contents[i] / scale
+    t_ddag = contents[j] / scale
     u = rng.random()
     t_star = u * t_dag + (1 - u) * t_ddag
-    w = float(v) / scale + t
-    w_star = float(v) / scale + t_star
-    return {
-        "w": w,
-        "w_star": w_star,
-        "d": w_star - w,
-        "v": v,
-        "t": t,
-        "t_star": t_star,
-        "t_dagger": t_dag,
-        "t_ddagger": t_ddag,
-        "lambda1_prev": parts[0],
-    }
+    w = v / scale + t
+    w_star = v / scale + t_star
+    return {"w": w, "w_star": w_star, "d": w_star - w, "lambda1_prev": runs[0][0]}
 
 
 def _jack_measure(n: int, alpha: Fraction) -> list[tuple[tuple, Fraction]]:

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 import math
 import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -162,8 +164,16 @@ class TestVerify:
         code2, out2, _ = run_cli(["verify"], capsys)
         assert (code1, out1) == (code2, out2)
 
-    def test_perturbed_kerov_weights_fail(self, capsys):
-        code, out, _ = run_cli(["verify", "--perturb-kerov", "1e-9"], capsys)
+    def test_perturbed_kerov_weights_fail(self, capsys, monkeypatch):
+        exact_law = jack_model.kerov_transition_probs
+
+        def shifted_law(parts, alpha):
+            dist = exact_law(parts, alpha)
+            probs = (dist.probs[0] + Fraction(1, 10**9),) + dist.probs[1:]
+            return dataclasses.replace(dist, probs=probs)
+
+        monkeypatch.setattr(jack_model, "kerov_transition_probs", shifted_law)
+        code, out, _ = run_cli(["verify"], capsys)
         assert code == 1
         payload = json.loads(out)
         assert "kerov_consistency" in payload["failed"]
@@ -183,6 +193,18 @@ class TestRecursionCommand:
         )
         assert code == 0
         assert "sup_ok = True" in out
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--n", "-2"], "n"), (["--n", "0"], "n"), (["--chain", "0"], "chain"),
+         (["--chain", "-1"], "chain")],
+        ids=["n-negative", "n-0", "chain-0", "chain-negative"],
+    )
+    def test_non_positive_length_is_config_error(self, capsys, flags, key):
+        code, out, err = run_cli(["recursion", "--q", "0.5", "--c", "1"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"config error: {key}: ")
 
 
 class TestHypCommand:
@@ -232,7 +254,9 @@ class TestConfigFile:
         assert err.count("\n") == 1 and "config error" in err and "confidence" in err
 
     @pytest.mark.parametrize(
-        "line, key", [("format=xml", "format"), ("sampels=5", "sampels"), ("epsilon=0.3", "epsilon")]
+        "line, key",
+        [("format=xml", "format"), ("sampels=5", "sampels"), ("epsilon=0.3", "epsilon"),
+         ("samples=50\nsamples=500", "samples")],
     )
     def test_bad_file_line_is_config_error(self, capsys, tmp_path, line, key):
         conf = tmp_path / "bad.conf"

@@ -9,6 +9,36 @@ from steinlab import stein_core as sc
 from steinlab.exactnum import binomial
 
 ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
+LAW_ALPHAS = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2)]
+
+
+def exact_pieces_sample(n, alpha, rng):
+    """One coupled draw built from the exact public pieces, on the same
+    rng stream as ``zero_bias_sample``: the chain to n-1, its exact content
+    sum, the exact pair table in sorted order, and an inline inverse CDF."""
+    parts, _ = jm.kerov_sample(n - 1, alpha, rng)
+    v = float(jm.content_sum(parts, alpha))
+    scale = jm.content_scale(n, alpha)
+    pair = jm.zero_bias_pair_distribution(parts, alpha)
+
+    def inverse_cdf(weights):
+        u, acc = rng.random(), 0.0
+        for i, wt in enumerate(weights):
+            acc += float(wt)
+            if u < acc:
+                return i
+        return len(weights) - 1
+
+    t = float(pair.contents[inverse_cdf(pair.corner_probs)]) / scale
+    items = sorted(pair.weights.items())
+    i, j = items[inverse_cdf([wt for _, wt in items])][0]
+    t_dag = float(pair.contents[i]) / scale
+    t_ddag = float(pair.contents[j]) / scale
+    u = rng.random()
+    t_star = u * t_dag + (1 - u) * t_ddag
+    w = v / scale + t
+    w_star = v / scale + t_star
+    return {"w": w, "w_star": w_star, "d": w_star - w, "lambda1_prev": parts[0]}
 
 
 class TestConditionalTMoments:
@@ -57,6 +87,18 @@ class TestZeroBiasPairTable:
         pair = jm.zero_bias_pair_distribution((3, 1), 2)
         assert all(i != j for i, j in pair.weights)
 
+    def test_float_weights_match_exact(self):
+        for size in range(1, 11):
+            for parts in jm.enumerate_partitions(size):
+                runs = jm._parts_to_runs(parts)
+                for alpha in LAW_ALPHAS:
+                    exact = jm.zero_bias_pair_distribution(parts, alpha).weights
+                    raw = jm._pair_weights(*jm._corner_law(runs, float(alpha)))
+                    total = math.fsum(raw.values())
+                    assert list(raw) == sorted(exact)
+                    for ij, wt in raw.items():
+                        assert abs(wt / total - float(exact[ij])) <= 1e-13
+
 
 class TestZeroBiasSample:
     def test_n2_uniform_between_atoms(self):
@@ -88,6 +130,24 @@ class TestZeroBiasSample:
         reps = 20_000
         draws = np.array([jm.zero_bias_sample(n, alpha, rng)["w_star"] for _ in range(reps)])
         assert abs(draws.mean() - ew3 / 2) <= 4 * draws.std(ddof=1) / math.sqrt(reps)
+
+    @pytest.mark.parametrize("n, alpha", [(2, 2), (5, 2), (16, 64), (50, 1)])
+    def test_matches_exact_pieces(self, n, alpha):
+        for seed in range(5):
+            rng_float, rng_exact = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = jm.zero_bias_sample(n, Fraction(alpha), rng_float)
+            assert got == exact_pieces_sample(n, Fraction(alpha), rng_exact)
+            assert rng_float.random() == rng_exact.random()
+
+    def test_no_exact_work_per_draw(self, monkeypatch):
+        def exact_work(*args, **kwargs):
+            raise AssertionError("exact work inside the sampler")
+
+        for name in ("kerov_transition_probs", "zero_bias_pair_distribution", "content_sum",
+                     "kerov_sample"):
+            monkeypatch.setattr(jm, name, exact_work)
+        s = jm.zero_bias_sample(50, Fraction(1), np.random.default_rng(0))
+        assert set(s) == {"w", "w_star", "d", "lambda1_prev"}
 
     def test_determinism(self):
         s1 = jm.zero_bias_sample(6, Fraction(3, 2), np.random.default_rng(21))
