@@ -27,6 +27,7 @@ from .exactnum import FLOAT_SLACK, binomial, phi
 from .stein_core import DiscreteLaw, empirical_kolmogorov, law_from_pairs
 
 DEFAULT_THRESHOLDS = {"n_bar": 344, "m_bar": 28, "c_bar": 1}
+_BATCH_ROWS = 10_000  # graphs per sampler batch; the rng stream depends on it
 
 
 @dataclass(frozen=True)
@@ -470,39 +471,36 @@ def check_moment_drop_ratios(
 def _sample_distinct_rows(rng: np.random.Generator, N: int, m: int, rows: int) -> np.ndarray:
     """(rows, m) array of distinct slot draws, uniform over ordered tuples.
 
-    Per-entry rejection: duplicates after their first occurrence are redrawn
-    until every row is duplicate-free, which reproduces sequential
-    draw-until-new sampling.
+    Per-entry rejection, which reproduces sequential draw-until-new sampling:
+    each pass sorts the packed keys slot * m + position of the live rows (those
+    with a duplicate on the previous pass), so a slot's first occurrence sorts
+    first, and redraws its later occurrences in row-major order.
     """
     out = rng.integers(0, N, size=(rows, m), dtype=np.int64)
+    live = np.arange(rows)
     while True:
-        order = np.argsort(out, axis=1, kind="stable")
-        svals = np.take_along_axis(out, order, axis=1)
-        eq = svals[:, 1:] == svals[:, :-1]
-        if not eq.any():
+        keys = np.sort(out[live] * m + np.arange(m), axis=1)
+        slot = keys // m
+        r, c = np.nonzero(slot[:, 1:] == slot[:, :-1])
+        if r.size == 0:
             return out
-        dup_sorted = np.concatenate([np.zeros((rows, 1), dtype=bool), eq], axis=1)
-        dup = np.zeros_like(out, dtype=bool)
-        np.put_along_axis(dup, order, dup_sorted, axis=1)
-        out[dup] = rng.integers(0, N, size=int(dup.sum()))
+        flat = np.sort(live[r] * m + keys[r, c + 1] % m)
+        np.put(out, flat, rng.integers(0, N, size=flat.size))
+        live = live[np.unique(r)]
 
 
-def sample_isolated_counts(
-    params: ErParams, rng: np.random.Generator, size: int, batch: int = 10_000
-) -> np.ndarray:
-    """Vectorized draws of the isolated-vertex count."""
+def sample_isolated_counts(params: ErParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Vectorized draws of the isolated-vertex count, _BATCH_ROWS graphs at a time."""
     n, m, N = params.n, params.m, params.slots
-    table = np.array(pair_table(n), dtype=np.int64) - 1  # 0-based endpoints
+    first, second = np.triu_indices(n, 1)  # 0-based endpoints in pair_table order
     out = np.empty(size, dtype=np.int64)
-    done = 0
-    while done < size:
-        b = min(batch, size - done)
+    for done in range(0, size, _BATCH_ROWS):
+        b = min(_BATCH_ROWS, size - done)
         slots = _sample_distinct_rows(rng, N, m, b)
-        verts = table[slots].reshape(b, 2 * m)
-        offsets = (np.arange(b, dtype=np.int64) * n)[:, None]
-        counts = np.bincount((verts + offsets).ravel(), minlength=b * n).reshape(b, n)
-        out[done : done + b] = (counts == 0).sum(axis=1)
-        done += b
+        touched = np.zeros((b, n), dtype=bool)
+        np.put_along_axis(touched, first[slots], True, axis=1)
+        np.put_along_axis(touched, second[slots], True, axis=1)
+        out[done : done + b] = n - np.count_nonzero(touched, axis=1)
     return out
 
 

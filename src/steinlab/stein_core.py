@@ -82,7 +82,7 @@ def empirical_kolmogorov(samples, confidence: float = 0.05) -> dict:
     a jump point, approached from the left or evaluated at the jump, so the
     scan over sorted unique sample values with their left limits is exact.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.asarray(samples, dtype=float)
     k = x.size
     if k < 100:
         raise ValueError("need at least 100 samples")

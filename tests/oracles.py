@@ -11,6 +11,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 @lru_cache(maxsize=None)
 def pascal_binomial(n: int, k: int) -> int:
@@ -135,3 +137,23 @@ def literal_transition_probs(parts: tuple, alpha) -> list[tuple]:
         prob = old_hooks / _lower_hook_product(grown, alpha) * psi
         out.append(((r, c), alpha * (c - 1) - (r - 1), prob))
     return out
+
+
+def argsort_distinct_rows(rng, N: int, m: int, rows: int):
+    """(rows, m) distinct slot draws by stable-argsort rejection over all rows.
+
+    Each pass re-sorts every row and redraws, in row-major order, every entry
+    that repeats an earlier entry of its row; the sampler under test must
+    consume the rng stream the same way.
+    """
+    out = rng.integers(0, N, size=(rows, m), dtype=np.int64)
+    while True:
+        order = np.argsort(out, axis=1, kind="stable")
+        svals = np.take_along_axis(out, order, axis=1)
+        eq = svals[:, 1:] == svals[:, :-1]
+        if not eq.any():
+            return out
+        dup_sorted = np.concatenate([np.zeros((rows, 1), dtype=bool), eq], axis=1)
+        dup = np.zeros_like(out, dtype=bool)
+        np.put_along_axis(dup, order, dup_sorted, axis=1)
+        out[dup] = rng.integers(0, N, size=int(dup.sum()))

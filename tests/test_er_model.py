@@ -12,7 +12,7 @@ from steinlab import er_model as er
 from steinlab import exactnum as ex
 from steinlab import stein_core as sc
 
-from oracles import brute_er_isolated_law, brute_er_moments
+from oracles import argsort_distinct_rows, brute_er_isolated_law, brute_er_moments
 
 
 class TestSlotEnumeration:
@@ -36,6 +36,12 @@ class TestSlotEnumeration:
             er.edge_index(2, 2, 5)
         with pytest.raises(ValueError):
             er.slot_to_pair(11, 5)
+
+    def test_triu_indices_match_pair_table(self):
+        # the batch sampler reads slot endpoints from triu_indices
+        for n in range(3, 41):
+            first, second = np.triu_indices(n, 1)
+            assert list(zip(first + 1, second + 1)) == list(er.pair_table(n))
 
 
 class TestSampling:
@@ -74,6 +80,31 @@ class TestSampling:
             p = float(prob)
             sd = math.sqrt(p * (1 - p) / y.size)
             assert abs(np.mean(y == value) - p) <= 4 * sd + 1e-9
+
+    @pytest.mark.parametrize(
+        "N, m",
+        [(3, 1), (3, 2), (6, 5), (15, 14), (28, 5), (45, 44), (4950, 100), (79_800, 400)],
+    )
+    def test_distinct_rows_match_argsort_oracle(self, N, m):
+        # same draws and same rng stream as stable-argsort rejection over all rows
+        for rows in (1, 7, 1000):
+            for seed in range(4):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = er._sample_distinct_rows(rng, N, m, rows)
+                assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, m, rows))
+                assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    def test_isolated_count_chi2_against_exact_law(self):
+        # 105 000 draws, so the last batch is a partial one; the smallest
+        # expected cell count is 449, so no cells need pooling
+        law = brute_er_isolated_law(8, 5)
+        reps = 105_000
+        y = er.sample_isolated_counts(er.ErParams(8, 5), np.random.default_rng(31), reps)
+        assert set(np.unique(y)) <= set(law)
+        expected = {v: float(p) * reps for v, p in law.items()}
+        assert min(expected.values()) >= 5
+        stat = sum((np.sum(y == v) - e) ** 2 / e for v, e in expected.items())
+        assert stat <= chi2.ppf(0.9999, len(expected) - 1)
 
     def test_degree_sum_is_2m(self):
         rng = np.random.default_rng(3)
