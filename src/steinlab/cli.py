@@ -47,7 +47,9 @@ JACK_COLUMNS = [
     "fc_frequency", "fc_bound", "exact_delta",
 ]
 
-EXACT_DELTA_LIMIT = 20_000  # edge sets / partitions worth enumerating per row
+# Rows with C(N,m) up to this carry exact_delta: the gate keeps the report rows and
+# the er-report wall time as they are until the exact columns ship with schema 2.
+EXACT_DELTA_LIMIT = 20_000
 
 
 class ConfigError(ValueError):
@@ -98,8 +100,8 @@ def _parse_grid(text: str, command: str) -> list:
 
 def _parse_thresholds(text: str, command: str) -> dict:
     fields = [f.strip() for f in text.split(",")]
-    if len(fields) != 3:
-        raise ConfigError("must be n_bar,m_bar,c_bar")
+    if len(fields) != 3 or Fraction(fields[2]) < 0:
+        raise ConfigError(f"must be n_bar,m_bar,c_bar with c_bar >= 0, got {text!r}")
     return {"n_bar": int(fields[0]), "m_bar": int(fields[1]), "c_bar": Fraction(fields[2])}
 
 

@@ -6,6 +6,9 @@ the N = C(n,2) unordered-pair slots; the edges are the slots pi(1..m).  The
 coupling removes a chosen vertex and relocates its incident edges uniformly
 onto free slots, producing a graph on n-1 vertices with the same edge count.
 
+The exact mean, variance and law of Y all come from one table, the binomial
+moments S_j = C(n,j) C(C(n-j,2), m) = C(N,m) E C(Y,j).
+
 Exhaustive checkers integrate over edge sets directly (the permutation only
 matters through the edge set) and over relocation-target subsets (the
 candidate stream only matters through the set of accepted slots); both
@@ -94,17 +97,42 @@ def isolated_count(graph: ErGraphState) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact and asymptotic moments, rate function, parameter region
+# Exact moments and law, asymptotics, rate function, parameter region
 # ---------------------------------------------------------------------------
+
+
+def _binomial_moments(params: ErParams, top: int = 2) -> list[int]:
+    """[S_0, ..., S_top]: S_j counts edge sets with j marked isolated vertices."""
+    n, m = params.n, params.m
+    return [binomial(n, j) * binomial(binomial(n - j, 2), m) for j in range(top + 1)]
+
+
+def _moments_from(s: list[int]) -> tuple[Fraction, Fraction]:
+    mu = Fraction(s[1], s[0])
+    return mu, mu + Fraction(2 * s[2], s[0]) - mu * mu
 
 
 def exact_moments(params: ErParams) -> tuple[Fraction, Fraction]:
     """Exact (mean, variance) of the isolated-vertex count."""
-    n, m, N = params.n, params.m, params.slots
-    denom = binomial(N, m)
-    mu = Fraction(n * binomial(N - (n - 1), m), denom)
-    pair = Fraction(n * (n - 1) * binomial(N - (2 * n - 3), m), denom)
-    return mu, mu + pair - mu * mu
+    return _moments_from(_binomial_moments(params))
+
+
+def exact_y_law(params: ErParams) -> DiscreteLaw:
+    """Exact law of the isolated-vertex count: the Taylor shift of sum_j S_j x^j
+    to x - 1, by additions only, has the coefficients C(N,m) P(Y = k)."""
+    c = _binomial_moments(params, params.n)
+    total = c[0]
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] -= c[k + 1]
+    return law_from_pairs((k, Fraction(ck, total)) for k, ck in enumerate(c))
+
+
+def exact_w_law(params: ErParams) -> DiscreteLaw:
+    """Law of W = (Y - mu)/sigma as float atoms with exact probabilities."""
+    mu, s2 = _nondegenerate_moments(params)
+    sigma = float(s2) ** 0.5
+    return DiscreteLaw(tuple(((y - float(mu)) / sigma, p) for y, p in exact_y_law(params).atoms))
 
 
 def asymptotic_moments(params: ErParams) -> tuple[float, float]:
@@ -143,8 +171,8 @@ def in_parameter_region(params: ErParams, thresholds: dict | None = None) -> boo
         th.update(thresholds)
     n, m = params.n, params.m
     c_bar = Fraction(th["c_bar"])
-    # m <= c_bar n^(3/2)  <=>  m^2 <= c_bar^2 n^3 for nonnegative sides
-    return n >= th["n_bar"] and th["m_bar"] <= m and Fraction(m) ** 2 <= c_bar**2 * n**3
+    # m <= c_bar n^(3/2)  <=>  c_bar >= 0 and m^2 <= c_bar^2 n^3, as m > 0
+    return n >= th["n_bar"] and th["m_bar"] <= m and c_bar >= 0 and m**2 <= c_bar**2 * n**3
 
 
 def truncation_level(params: ErParams) -> float:
@@ -299,14 +327,9 @@ def coupling_sample(params: ErParams, rng: np.random.Generator) -> ErCouplingSam
 # Exhaustive enumeration machinery
 # ---------------------------------------------------------------------------
 
-ENUMERATION_LIMIT = 200_000
-
 
 def enumerate_edge_sets(params: ErParams) -> Iterator[tuple]:
     """All C(N, m) edge-slot subsets, each equally likely under the model."""
-    total = binomial(params.slots, params.m)
-    if total > ENUMERATION_LIMIT:
-        raise ValueError(f"C(N,m) = {total} exceeds the enumeration limit")
     return itertools.combinations(range(1, params.slots + 1), params.m)
 
 
@@ -317,25 +340,6 @@ def _degrees_of_edges(edges: Sequence[int], table, n: int) -> list[int]:
         deg[a] += 1
         deg[b] += 1
     return deg[1:]
-
-
-def exact_y_law(params: ErParams) -> DiscreteLaw:
-    """Exact law of the isolated-vertex count by edge-set enumeration."""
-    table = pair_table(params.n)
-    weight = Fraction(1, binomial(params.slots, params.m))
-    acc: dict[int, Fraction] = {}
-    for edges in enumerate_edge_sets(params):
-        y = sum(1 for d in _degrees_of_edges(edges, table, params.n) if d == 0)
-        acc[y] = acc.get(y, Fraction(0)) + weight
-    return law_from_pairs(acc.items())
-
-
-def exact_w_law(params: ErParams) -> DiscreteLaw:
-    """Law of W = (Y - mu)/sigma as float atoms with exact probabilities."""
-    mu, s2 = _nondegenerate_moments(params)
-    sigma = float(s2) ** 0.5
-    y_law = exact_y_law(params)
-    return DiscreteLaw(tuple(((y - float(mu)) / sigma, p) for y, p in y_law.atoms))
 
 
 def relocation_target_law(edges: frozenset, v: int, params: ErParams):
@@ -409,16 +413,15 @@ def check_stein_identity_exhaustive(params: ErParams, coeffs: Sequence) -> dict:
 def check_negative_correlation(params: ErParams) -> dict:
     """Joint isolation probability below the product, and the variance caps
     sigma^2 <= mu and sigma^2 <= 2m, all in exact arithmetic."""
-    n, m, N = params.n, params.m, params.slots
-    denom = binomial(N, m)
-    joint = Fraction(binomial(N - (2 * n - 3), m), denom)
-    single = Fraction(binomial(N - (n - 1), m), denom)
-    mu, s2 = exact_moments(params)
+    s = _binomial_moments(params)
+    joint = Fraction(s[2], binomial(params.n, 2) * s[0])
+    single = Fraction(s[1], params.n * s[0])
+    mu, s2 = _moments_from(s)
     return {
         "joint": joint,
         "product": single * single,
         "holds": joint <= single * single,
-        "variance_caps": s2 <= mu and s2 <= 2 * m,
+        "variance_caps": s2 <= mu and s2 <= 2 * params.m,
     }
 
 

@@ -45,8 +45,8 @@ class JackParams:
     alpha: Fraction
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -71,9 +71,7 @@ def arm_leg(parts: Sequence[int], box: tuple[int, int]) -> tuple[int, int]:
     r, c = box
     if not (1 <= r <= len(parts) and 1 <= c <= parts[r - 1]):
         raise ValueError("box outside the diagram")
-    arm = parts[r - 1] - c
-    leg = sum(1 for rr in range(r, len(parts)) if parts[rr] >= c)
-    return arm, leg
+    return parts[r - 1] - c, conjugate(parts)[c - 1] - r
 
 
 def enumerate_partitions(n: int) -> list[tuple]:
@@ -95,26 +93,20 @@ def enumerate_partitions(n: int) -> list[tuple]:
     return out
 
 
-def _hook_products(parts: tuple, alpha: Fraction) -> tuple[Fraction, Fraction]:
-    """(prod (alpha a + l + 1), prod (alpha a + l + alpha)) over all boxes."""
-    lo = Fraction(1)
-    hi = Fraction(1)
-    for r in range(1, len(parts) + 1):
-        for c in range(1, parts[r - 1] + 1):
-            a = parts[r - 1] - c
-            l = sum(1 for rr in range(r, len(parts)) if parts[rr] >= c)
-            lo *= alpha * a + l + 1
-            hi *= alpha * a + l + alpha
-    return lo, hi
-
-
 def jack_probability(parts: Sequence[int], alpha) -> Fraction:
-    """Exact measure of a partition: alpha^n n! over the two hook products."""
+    """Exact measure of a partition: alpha^n n! over the hook products
+    prod (alpha arm + leg + 1) (alpha arm + leg + alpha); for alpha = a/b, b times
+    each factor is an integer, so this is (ab)^n n! over an integer product."""
     parts = _validate_partition(parts)
-    alpha = Fraction(alpha)
+    a, b = Fraction(alpha).as_integer_ratio()
+    conj = conjugate(parts)
     n = sum(parts)
-    lo, hi = _hook_products(parts, alpha)
-    return Fraction(alpha**n * math.factorial(n), 1) / (lo * hi)
+    hooks = 1
+    for r, lam in enumerate(parts):
+        for c in range(lam):
+            arm, leg = lam - c - 1, conj[c] - r - 1
+            hooks *= (a * arm + b * (leg + 1)) * (a * arm + b * leg + a)
+    return Fraction((a * b) ** n * math.factorial(n), hooks)
 
 
 def content_sum(parts: Sequence[int], alpha) -> Fraction:

@@ -8,6 +8,7 @@ different route than the implementation under test.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -98,14 +99,23 @@ def brute_er_isolated_law(n: int, m: int) -> dict[int, Fraction]:
     return {y: Fraction(c, total) for y, c in acc.items()}
 
 
-def _lower_hook_product(parts: tuple, alpha: Fraction) -> Fraction:
-    """prod over boxes of (alpha arm + leg + 1)."""
+def _hook_product(parts: tuple, alpha: Fraction, extra=1) -> Fraction:
+    """prod over boxes of (alpha arm + leg + extra), each leg found by
+    scanning the rows below the box."""
     out = Fraction(1)
     for r, lam in enumerate(parts):
         for c in range(lam):
             leg = sum(1 for below in parts[r + 1:] if below > c)
-            out *= alpha * (lam - 1 - c) + leg + 1
+            out *= alpha * (lam - 1 - c) + leg + extra
     return out
+
+
+def literal_jack_probability(parts: tuple, alpha) -> Fraction:
+    """alpha^n n! / (prod (alpha a + l + 1) prod (alpha a + l + alpha))."""
+    alpha = Fraction(alpha)
+    n = sum(parts)
+    hooks = _hook_product(parts, alpha) * _hook_product(parts, alpha, alpha)
+    return alpha**n * math.factorial(n) / hooks
 
 
 def literal_transition_probs(parts: tuple, alpha) -> list[tuple]:
@@ -120,7 +130,7 @@ def literal_transition_probs(parts: tuple, alpha) -> list[tuple]:
     corners = [(1, parts[0] + 1)]
     corners += [(i + 1, parts[i] + 1) for i in range(1, len(parts)) if parts[i] < parts[i - 1]]
     corners.append((len(parts) + 1, 1))
-    old_hooks = _lower_hook_product(parts, alpha)
+    old_hooks = _hook_product(parts, alpha)
     out = []
     for r, c in corners:
         grown = list(parts) + [0]
@@ -134,7 +144,7 @@ def literal_transition_probs(parts: tuple, alpha) -> list[tuple]:
             l_old = sum(1 for rr in range(i, len(parts)) if parts[rr] >= c)
             psi *= (alpha * a_new + l_new + 1) / (alpha * a_new + l_new + alpha)
             psi *= (alpha * a_old + l_old + alpha) / (alpha * a_old + l_old + 1)
-        prob = old_hooks / _lower_hook_product(grown, alpha) * psi
+        prob = old_hooks / _hook_product(grown, alpha) * psi
         out.append(((r, c), alpha * (c - 1) - (r - 1), prob))
     return out
 

@@ -149,6 +149,18 @@ class TestJackReport:
         assert out == ""
         assert err.count("\n") == 1 and "config error" in err and "epsilon" in err
 
+    def test_one_box_point_fails_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(jack_model, "sample_jack_batch", no_sampling)
+        code, out, err = run_cli(
+            ["jack-report", "--grid", "16,64;1,2", "--samples", "200"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "config error: grid: point '1,2': n must be >= 2\n"
+
 
 class TestVerify:
     def test_clean_suite_passes(self, capsys, tmp_path):
@@ -283,6 +295,15 @@ class TestConfigFile:
         )
         assert code == 0
         assert json.loads(out)["rows"][0]["in_region"] == "True"
+
+    def test_negative_c_bar_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            ["er-report", "--grid", "100,100", "--samples", "200", "--thresholds", "1,1,-1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: thresholds")
 
 
 class TestOptionTable:

@@ -185,11 +185,24 @@ class TestExactMoments:
                 assert er.exact_moments(er.ErParams(n, m)) == brute_er_moments(n, m)
 
     def test_exact_y_law_consistent(self):
-        params = er.ErParams(5, 4)
-        law = er.exact_y_law(params)
-        mu, s2 = er.exact_moments(params)
-        assert law.moment(1) == mu
-        assert law.moment(2) - mu * mu == s2
+        for n, m in [(5, 4), (100, 100), (200, 200), (400, 400)]:
+            params = er.ErParams(n, m)
+            law = er.exact_y_law(params)
+            mu, s2 = er.exact_moments(params)
+            assert law.moment(1) == mu
+            assert law.moment(2) - mu * mu == s2
+            # the extreme counts keep positive mass: at least n - 2m isolated vertices,
+            # at most n minus the fewest vertices that can hold m edges
+            fewest_covering = next(k for k in range(n + 1) if ex.binomial(k, 2) >= m)
+            assert law.values()[0] == max(n - 2 * m, 0)
+            assert law.values()[-1] == n - fewest_covering
+
+    def test_exact_y_law_matches_enumeration(self):
+        for n in range(3, 9):
+            for m in range(1, ex.binomial(n, 2)):
+                if ex.binomial(ex.binomial(n, 2), m) <= 200_000:
+                    law = er.exact_y_law(er.ErParams(n, m))
+                    assert dict(law.atoms) == brute_er_isolated_law(n, m)
 
 
 class TestAsymptoticsAndRate:
@@ -235,6 +248,11 @@ class TestParameterRegion:
         assert er.in_parameter_region(
             er.ErParams(10, 5), {"n_bar": 5, "m_bar": 1, "c_bar": 1}
         )
+
+    def test_negative_c_bar_gives_empty_region(self):
+        th = {"n_bar": 1, "m_bar": 1, "c_bar": 1}
+        assert er.in_parameter_region(er.ErParams(100, 100), th)
+        assert not er.in_parameter_region(er.ErParams(100, 100), dict(th, c_bar=-1))
 
     def test_truncation_region_inequality(self):
         # 4m/n + 2 log(min(m,n)) <= min(n,m)/4 throughout the region

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 from steinlab import jack_model as jm
 
-from oracles import literal_transition_probs, partition_count
+from oracles import literal_jack_probability, literal_transition_probs, partition_count
 
 ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
 LAW_ALPHAS = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2)]
@@ -20,6 +20,13 @@ class TestArmLeg:
         assert jm.arm_leg((4, 2, 1), (1, 1)) == (3, 2)
         assert jm.arm_leg((4, 2, 1), (1, 4)) == (0, 0)
         assert jm.arm_leg((1,), (1, 1)) == (0, 0)
+
+    def test_leg_counts_rows_below(self):
+        for parts in jm.enumerate_partitions(8):
+            for r, lam in enumerate(parts, start=1):
+                for c in range(1, lam + 1):
+                    below = sum(1 for p in parts[r:] if p >= c)
+                    assert jm.arm_leg(parts, (r, c)) == (lam - c, below)
 
     def test_box_outside(self):
         with pytest.raises(ValueError):
@@ -67,6 +74,14 @@ class TestJackProbability:
             for alpha in ALPHAS:
                 total = sum(jm.jack_probability(p, alpha) for p in jm.enumerate_partitions(n))
                 assert total == 1
+
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(181019336, 1000000)]
+    )
+    def test_matches_literal_hook_products(self, alpha):
+        for n in range(1, 13):
+            for parts in jm.enumerate_partitions(n):
+                assert jm.jack_probability(parts, alpha) == literal_jack_probability(parts, alpha)
 
     def test_conjugation_symmetry_at_alpha_one(self):
         for n in range(1, 9):
