@@ -130,6 +130,11 @@ def _emit(rows: list[dict], columns: list[str], out_path: str | None, fmt: str) 
             "rows": [{c: _format_value(row.get(c)) for c in columns} for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(text, out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Write ``text`` to the ``--out`` file, or to stdout when there is none."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -342,12 +347,7 @@ def run_verify_suite(config: dict) -> tuple[int, dict]:
 
     failed = sorted(name for name, passed in results.items() if not passed)
     payload = {"schema": SCHEMA, "results": results, "failed": failed}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.get("out"):
-        with open(config["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.get("out"))
     return (1 if failed else 0), payload
 
 

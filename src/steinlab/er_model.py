@@ -93,7 +93,7 @@ def degrees(graph: ErGraphState) -> list[int]:
 
 
 def isolated_count(graph: ErGraphState) -> int:
-    return sum(1 for d in degrees(graph) if d == 0)
+    return degrees(graph).count(0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,6 @@ def domain_label(params: ErParams) -> str:
 
 @dataclass(frozen=True)
 class RedistributionResult:
-    coupled_degrees: dict  # degree of each w != v in the coupled graph
     relocated_slots: frozenset
     receiving_vertices: frozenset
     lost_neighbors: frozenset
@@ -225,7 +224,11 @@ def redistribute(graph: ErGraphState, v: int, sigma_v: Iterable[int]) -> Redistr
 
     ``sigma_v`` is consumed in order; a candidate slot is accepted when it is
     not incident to v and not already an edge.  Deterministic given the graph
-    and the candidate sequence.
+    and the candidate sequence.  Returns the accepted slots, their endpoints
+    (receiving vertices), the neighbors of v that receive none of them (lost
+    neighbors), and b_v = Y - Y_v, where Y_v comes from ``_coupled_isolated``,
+    the one recount of the coupled graph, shared with the exhaustive
+    Stein-identity check.
     """
     params = graph.params
     n, m = params.n, params.m
@@ -233,39 +236,24 @@ def redistribute(graph: ErGraphState, v: int, sigma_v: Iterable[int]) -> Redistr
         raise ValueError("redistribution cannot terminate: m > C(n-1, 2)")
     table = pair_table(n)
     edges = graph.edge_slots()
-    deg = degrees(graph)
+    deg = _degrees_of_edges(edges, table, n)
     d_v = deg[v - 1]
 
     relocated = set()
     it = iter(sigma_v)
     while len(relocated) < d_v:
         slot = next(it)
-        a, b = table[slot - 1]
-        if v == a or v == b:
-            continue
-        if slot in edges:
-            continue
-        relocated.add(slot)
-
-    kept = [s for s in edges if v not in table[s - 1]]
-    coupled_deg = {w: 0 for w in range(1, n + 1) if w != v}
-    for s in itertools.chain(kept, relocated):
-        a, b = table[s - 1]
-        coupled_deg[a] += 1
-        coupled_deg[b] += 1
+        if v not in table[slot - 1] and slot not in edges:
+            relocated.add(slot)
 
     receiving = frozenset(w for s in relocated for w in table[s - 1])
     neighbors = {w for s in edges for w in table[s - 1] if v in table[s - 1] and w != v}
     lost = frozenset(neighbors - receiving)
-
-    y = sum(1 for d in deg if d == 0)
-    y_v = sum(1 for d in coupled_deg.values() if d == 0)
     return RedistributionResult(
-        coupled_degrees=coupled_deg,
         relocated_slots=frozenset(relocated),
         receiving_vertices=receiving,
         lost_neighbors=lost,
-        b_v=y - y_v,
+        b_v=deg.count(0) - _coupled_isolated(edges, v, relocated, table, n),
     )
 
 
@@ -314,9 +302,10 @@ def coupling_sample(params: ErParams, rng: np.random.Generator) -> ErCouplingSam
     graph = sample_graph(params, rng)
     v = int(rng.integers(1, params.n + 1))
     res = redistribute(graph, v, lazy_permutation(rng, params.slots))
-    y = isolated_count(graph)
+    deg = degrees(graph)
+    y = deg.count(0)
     y_v = y - res.b_v
-    d_v = degrees(graph)[v - 1]
+    d_v = deg[v - 1]
     w = (y - float(mu)) / sigma
     w_prime = (y_v - float(mu)) / sigma
     g = -(params.n / sigma) * ((1 if d_v == 0 else 0) - float(mu) / params.n)
@@ -360,10 +349,11 @@ def relocation_target_law(edges: frozenset, v: int, params: ErParams):
         yield frozenset(subset), w
 
 
-def _coupled_isolated(edges: frozenset, v: int, relocated: frozenset, table, n: int) -> int:
+def _coupled_isolated(edges: frozenset, v: int, relocated: Iterable[int], table, n: int) -> int:
+    """Isolated-vertex count Y_v of the coupled graph on the vertices other than v."""
     kept = [s for s in edges if v not in table[s - 1]]
-    deg = _degrees_of_edges(list(kept) + list(relocated), table, n)
-    return sum(1 for w in range(1, n + 1) if w != v and deg[w - 1] == 0)
+    # v keeps no edge: it is one of the zeros but not a vertex of the coupled graph
+    return _degrees_of_edges(kept + list(relocated), table, n).count(0) - 1
 
 
 def check_stein_identity_exhaustive(params: ErParams, coeffs: Sequence) -> dict:
@@ -391,8 +381,8 @@ def check_stein_identity_exhaustive(params: ErParams, coeffs: Sequence) -> dict:
     rhs = Fraction(0)
     for edges in enumerate_edge_sets(params):
         edges = frozenset(edges)
-        deg = _degrees_of_edges(sorted(edges), table, n)
-        y = sum(1 for d in deg if d == 0)
+        deg = _degrees_of_edges(edges, table, n)
+        y = deg.count(0)
         fy = f(y)
         rhs += w_edges * (y - mu) * fy
         for v in range(1, n + 1):

@@ -50,6 +50,12 @@ class JackParams:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
+        try:  # the samplers grow partitions with float(alpha)
+            as_float = float(self.alpha)
+        except OverflowError:
+            as_float = math.inf
+        if not 0 < as_float < math.inf:
+            raise ValueError("alpha must be a nonzero finite float")
 
 def _validate_partition(parts: Sequence[int]) -> tuple:
     parts = tuple(int(p) for p in parts)

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -376,17 +376,6 @@ def _all_perms(N: int):
     return [tuple(p) for p in itertools.permutations(range(1, N + 1))]
 
 
-def _compose(pi: Sequence[int], tau: Sequence[int]) -> tuple:
-    # (pi tau)(x) = pi(tau(x)), with permutations as 1-based tuples
-    return tuple(pi[tau[i] - 1] for i in range(len(pi)))
-
-
-def _transposition(N: int, i: int, j: int) -> tuple:
-    t = list(range(1, N + 1))
-    t[i - 1], t[j - 1] = t[j - 1], t[i - 1]
-    return tuple(t)
-
-
 def check_efron_stein(h: Callable, N: int, n_sigma: int) -> dict:
     """Exhaustive check of the single-coordinate/transposition variance bound.
 
@@ -418,15 +407,17 @@ def check_efron_stein(h: Callable, N: int, n_sigma: int) -> dict:
                 acc += (base - hval[(pi, other)]) ** 2
         first += acc * weight / nper
 
-    # sum over positions j: compose pi with tau_j, averaged over its target
+    # sum over positions j: compose pi with tau_j, averaged over its target;
+    # pi tau_j is pi with positions j and target exchanged
     second = Fraction(0)
     for j in range(1, N):
         acc = Fraction(0)
         for pi, sig in states:
             base = hval[(pi, sig)]
             for target in range(j, N + 1):
-                moved = _compose(pi, _transposition(N, j, target))
-                acc += Fraction((base - hval[(moved, sig)]) ** 2, N - j + 1)
+                moved = list(pi)
+                moved[j - 1], moved[target - 1] = pi[target - 1], pi[j - 1]
+                acc += Fraction((base - hval[(tuple(moved), sig)]) ** 2, N - j + 1)
         second += acc * weight
 
     bound = first / 2 + second / 2

@@ -99,6 +99,15 @@ def brute_er_isolated_law(n: int, m: int) -> dict[int, Fraction]:
     return {y: Fraction(c, total) for y, c in acc.items()}
 
 
+def brute_coupled_isolated(n: int, edge_slots, v: int, relocated_slots) -> int:
+    """Isolated vertices of the coupled graph: vertex v removed and its edges
+    replaced by the relocated slots (1-based, row-major pair order)."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    kept = [pairs[s - 1] for s in edge_slots if v not in pairs[s - 1]]
+    touched = {w for e in kept + [pairs[s - 1] for s in relocated_slots] for w in e}
+    return sum(1 for w in range(1, n + 1) if w != v and w not in touched)
+
+
 def _hook_product(parts: tuple, alpha: Fraction, extra=1) -> Fraction:
     """prod over boxes of (alpha arm + leg + extra), each leg found by
     scanning the rows below the box."""

@@ -154,12 +154,16 @@ class TestJackReport:
             raise AssertionError("sampled before the config was checked")
 
         monkeypatch.setattr(jack_model, "sample_jack_batch", no_sampling)
-        code, out, err = run_cli(
-            ["jack-report", "--grid", "16,64;1,2", "--samples", "200"], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "config error: grid: point '1,2': n must be >= 2\n"
+        alpha_error = "alpha must be a nonzero finite float"
+        for grid, message in [
+            ("16,64;1,2", "point '1,2': n must be >= 2"),
+            ("16,64;2,1e400", f"point '2,1e400': {alpha_error}"),  # float(alpha) overflows
+            ("2,1e-400", f"point '2,1e-400': {alpha_error}"),  # float(alpha) is 0
+        ]:
+            code, out, err = run_cli(["jack-report", "--grid", grid, "--samples", "200"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == f"config error: grid: {message}\n"
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -12,7 +13,12 @@ from steinlab import er_model as er
 from steinlab import exactnum as ex
 from steinlab import stein_core as sc
 
-from oracles import argsort_distinct_rows, brute_er_isolated_law, brute_er_moments
+from oracles import (
+    argsort_distinct_rows,
+    brute_coupled_isolated,
+    brute_er_isolated_law,
+    brute_er_moments,
+)
 
 
 class TestSlotEnumeration:
@@ -299,17 +305,9 @@ class TestRedistribution:
 
     def test_exhaustive_sigma_path_graph_middle_vertex(self):
         g = _path_graph_state()
-        table = er.pair_table(4)
         for sigma in itertools.permutations(range(1, 7)):
             res = er.redistribute(g, 2, sigma)
-            # direct recount of the coupled graph
-            kept = [s for s in g.edge_slots() if 2 not in table[s - 1]]
-            deg = {w: 0 for w in (1, 3, 4)}
-            for s in list(kept) + list(res.relocated_slots):
-                a, b = table[s - 1]
-                deg[a] += 1
-                deg[b] += 1
-            y_v = sum(1 for d in deg.values() if d == 0)
+            y_v = brute_coupled_isolated(4, g.edge_slots(), 2, res.relocated_slots)
             assert er.isolated_count(g) - y_v == res.b_v
             er.b_v_decomposition(g, 2, res)  # raises on mismatch
 
@@ -354,13 +352,7 @@ class TestRedistribution:
     def test_decomposition_mismatch_raises(self):
         g = _path_graph_state()
         res = er.redistribute(g, 2, range(1, 7))
-        broken = er.RedistributionResult(
-            res.coupled_degrees,
-            res.relocated_slots,
-            res.receiving_vertices,
-            res.lost_neighbors,
-            res.b_v + 1,
-        )
+        broken = dataclasses.replace(res, b_v=res.b_v + 1)
         with pytest.raises(RuntimeError):
             er.b_v_decomposition(g, 2, broken)
 
@@ -545,8 +537,17 @@ def test_graph_invariants_random(n, data):
     N = ex.binomial(n, 2)
     m = data.draw(st.integers(1, N - 1))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    g = er.sample_graph(er.ErParams(n, m), np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    g = er.sample_graph(er.ErParams(n, m), rng)
     deg = er.degrees(g)
     assert sum(deg) == 2 * m
     assert len(g.edge_slots()) == m
     assert er.isolated_count(g) == sum(1 for d in deg if d == 0)
+    if m <= ex.binomial(n - 1, 2):
+        v = data.draw(st.integers(1, n))
+        res = er.redistribute(g, v, er.lazy_permutation(rng, N))
+        assert len(res.relocated_slots) == deg[v - 1]
+        assert res.relocated_slots.isdisjoint(g.edge_slots())
+        y_v = brute_coupled_isolated(n, g.edge_slots(), v, res.relocated_slots)
+        assert res.b_v == er.isolated_count(g) - y_v
+        assert er.b_v_decomposition(g, v, res) == res.b_v
