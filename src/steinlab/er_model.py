@@ -230,13 +230,19 @@ def redistribute(graph: ErGraphState, v: int, sigma_v: Iterable[int]) -> Redistr
     the one recount of the coupled graph, shared with the exhaustive
     Stein-identity check.
     """
+    return _redistribute(graph, degrees(graph), v, sigma_v)
+
+
+def _redistribute(
+    graph: ErGraphState, deg: list[int], v: int, sigma_v: Iterable[int]
+) -> RedistributionResult:
+    """``redistribute`` given the degree list of ``graph``."""
     params = graph.params
     n, m = params.n, params.m
     if m > binomial(n - 1, 2):
         raise ValueError("redistribution cannot terminate: m > C(n-1, 2)")
     table = pair_table(n)
     edges = graph.edge_slots()
-    deg = _degrees_of_edges(edges, table, n)
     d_v = deg[v - 1]
 
     relocated = set()
@@ -532,7 +538,7 @@ def gd_conditional_variance_estimate(
         deg = degrees(graph)
         total = 0.0
         for v in range(1, n + 1):
-            res = redistribute(graph, v, lazy_permutation(rng, params.slots))
+            res = _redistribute(graph, deg, v, lazy_permutation(rng, params.slots))
             total += ((1 if deg[v - 1] == 0 else 0) - mu_f / n) * res.b_v
         vals[i] = total / s2_f
     return float(np.sqrt(max(vals.var(ddof=1), 0.0)))

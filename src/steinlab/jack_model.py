@@ -8,10 +8,15 @@ the removable boxes plus alpha - 1,
 
     p_k = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j).
 
-One implementation, ``_corner_law``, evaluates it over a run-length encoding
-of the partition; it is exact for a Fraction alpha and serves the samplers
-with a float alpha.  The zero-bias pair law is likewise one ``_pair_weights``:
-the sampler draws from it in floats, the exact identity check reads it exactly.
+``_corner_law`` evaluates it over a run-length encoding of the partition; it
+is exact for a Fraction alpha and serves the one-chain samplers with a float
+alpha.  The batch sampler's ``_sweep`` is its vectorized twin: it grows a
+whole batch of chains one box per numpy step, on the same run-length
+encoding held in zero-padded int64 arrays, and multiplies the same factors in
+the same order, so its draws equal the one-chain loop's.  Both pick a corner
+by inverse CDF against the plain running sum of the float weights.  The
+zero-bias pair law is one ``_pair_weights``: the sampler draws from it in
+floats, the exact identity check reads it exactly.
 
 The deformation parameter alpha is carried as an exact Fraction wherever a
 probability or content is produced; the irrational scale sqrt(alpha C(n,2))
@@ -37,6 +42,7 @@ from .stein_core import (
 )
 
 MAX_ENUMERATION_N = 60
+_BATCH_ROWS = 10_000  # chains per sweep; the draws do not depend on it
 
 
 @dataclass(frozen=True)
@@ -237,12 +243,20 @@ def _pick(weights, u: float) -> int:
     return len(weights) - 1
 
 
-def _float_law(runs: list[list[int]], alpha: float):
-    """Float ``_corner_law`` plus its weight total, which must be 1 up to rounding."""
-    contents, weights = _corner_law(runs, alpha)
-    total = math.fsum(weights)
+def _check_total(total: float) -> None:
     if abs(total - 1.0) > 1e-6:
         raise RuntimeError(f"corner weights sum to {total}, not 1")
+
+
+def _float_law(runs: list[list[int]], alpha: float):
+    """Float ``_corner_law`` plus its weight total, which must be 1 up to rounding.
+
+    The total is the plain running sum of the weights, top corner first: the
+    last sum ``_pick`` accumulates, and the last cumulative sum of the sweep.
+    """
+    contents, weights = _corner_law(runs, alpha)
+    *_, total = itertools.accumulate(weights)
+    _check_total(total)
     return contents, weights, total
 
 
@@ -308,12 +322,99 @@ def kerov_sample(n: int, alpha, rng: np.random.Generator):
     return _runs_to_parts(runs), [alpha * col - row for row, col in boxes]
 
 
+def _batch_corner_law(v: np.ndarray, c: np.ndarray, r: np.ndarray, alpha: float):
+    """Float ``_corner_law`` of many run-length encodings at once, bit for bit.
+
+    Row i holds the values ``v`` and counts ``c`` of its r_i runs in lanes
+    t < r_i, and zeros after, with at least one zero lane.  With S_t the rows
+    above run t, lane t < r_i holds the corner x_t = alpha v_t - S_t and the
+    removable box y_t = alpha v_t - S_t - c_t, and the zeros supply the bottom
+    corner x_r = alpha 0 - S_r.  The products run in ``_corner_law``'s order,
+    with a factor 1.0 on missing lanes.  Returns the contents x and the
+    weights, which are 0 past each bottom corner, where nothing is divided.
+    """
+    b, m = v.shape
+    S = np.cumsum(c, axis=1) - c
+    x = alpha * v - S
+    ys = alpha * v - (S + c)
+    num = np.ones((b, m))
+    for i in range(m - 1):
+        f = x - ys[:, i, None]
+        f[i >= r] = 1.0
+        num *= f
+    den = np.ones((b, m))
+    for j in range(m):
+        f = x - x[:, j, None]
+        f[j > r] = 1.0
+        f[:, j] = 1.0
+        den *= f
+    corner = np.arange(m) <= r[:, None]
+    return x, np.divide(num, den, out=np.zeros((b, m)), where=corner)
+
+
+def _sweep(n: int, alpha: float, u: np.ndarray):
+    """``_grow`` for len(u) chains at once, one box per numpy step.
+
+    Chain i draws step s with ``u[i, s]``.  Each chain is the run-length
+    encoding of ``_grow_runs`` padded with zero runs: values V, counts C and
+    the run count r.  ``_batch_corner_law`` gives the weights of ``_float_law``
+    bit for bit, so every pick and content equals the scalar one.  Returns
+    the content sums and the first rows at time n-1.
+    """
+    b = len(u)
+    width = math.isqrt(2 * n) + 3  # a partition of n has at most sqrt(2n) runs
+    V = np.zeros((b, width), dtype=np.int64)
+    C = np.zeros((b, width), dtype=np.int64)
+    V[:, 0] = C[:, 0] = 1
+    r = np.ones(b, dtype=np.int64)
+    chains = np.arange(b)
+    lanes = np.arange(width)
+    y = np.zeros(b)
+    for s in range(n - 1):
+        m = int(r.max()) + 1  # lanes in use: every run and the bottom corner
+        x, weights = _batch_corner_law(V[:, :m], C[:, :m], r, alpha)
+        cum = np.cumsum(weights, axis=1)
+        total = cum[:, -1]
+        _check_total(total[np.abs(total - 1.0).argmax()])
+        hit = (u[:, s] * total)[:, None] < cum
+        hit[chains, r] = True  # no hit before it: the bottom corner, as in _pick
+        t = hit.argmax(axis=1)
+        y += x[chains, t]
+
+        # _grow_runs, case by case, as masked updates
+        vt, ct = V[chains, t], C[chains, t]
+        up = (t > 0) & (V[chains, t - 1] == vt + 1)  # merge into the run above
+        C[chains, t - 1] += up
+        V[chains, t] += ~up  # bump in place, or the new run (v+1, 1)
+        C[chains, t] = np.where(up, np.maximum(ct - 1, 0), 1)
+        insert = ~up & (ct > 1)  # the rest of run t moves one lane down
+        delete = up & (ct == 1)  # run t has emptied
+        r += ~up & (ct != 1)  # an inserted run, or a new bottom run
+        r -= delete
+        shifted = np.flatnonzero(insert | delete)
+        if shifted.size:
+            head = lanes[: m + 1]  # lane m is padding before and after the shift
+            ins = insert[shifted, None]
+            moved = head >= t[shifted, None] + ins
+            src = np.minimum(np.where(moved, head + np.where(ins, -1, 1), head), m)
+            V[shifted, : m + 1] = V[shifted[:, None], src]
+            C[shifted, : m + 1] = C[shifted[:, None], src]
+            grown = shifted[insert[shifted]]  # old run t, one row shorter, below the new run
+            V[grown, t[grown] + 1] = vt[grown]
+            C[grown, t[grown] + 1] = ct[grown] - 1
+    return y, V[:, 0] - (t == 0)  # first row before the last box
+
+
 def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dict:
     """Monte Carlo sweep: standardized contents and the pre-final first row.
 
     Returns arrays ``w`` (standardized content of the partition of n) and
     ``lambda1_prev`` (first-row length at time n-1, the truncation-event
-    statistic).
+    statistic).  ``_sweep`` grows _BATCH_ROWS chains at a time on zero-padded
+    run-length arrays, with the uniforms ``rng.random((rows, n - 1))``: read
+    row-major, these are the doubles ``_grow`` draws chain after chain, and
+    with bit-equal weights and the same running-sum total every draw equals
+    ``_grow``'s.
     """
     if n < 2:
         raise ValueError("standardized sampling needs n >= 2")
@@ -321,10 +422,10 @@ def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dic
     scale = content_scale(n, alpha)
     w = np.empty(size)
     lam1_prev = np.empty(size, dtype=np.int64)
-    for i in range(size):
-        runs, boxes, y = _grow(n, af, rng)
-        w[i] = y / scale
-        lam1_prev[i] = runs[0][0] - (boxes[-1][0] == 0)  # first row before the last box
+    for done in range(0, size, _BATCH_ROWS):
+        b = min(_BATCH_ROWS, size - done)
+        y, lam1_prev[done : done + b] = _sweep(n, af, rng.random((b, n - 1)))
+        w[done : done + b] = y / scale
     return {"w": w, "lambda1_prev": lam1_prev}
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Nothing here imports steinlab internals beyond plain data; each oracle
-recomputes its target quantity by direct enumeration or recurrence, along a
-different route than the implementation under test.
+Each oracle recomputes its target quantity by direct enumeration or
+recurrence, along a different route than the implementation under test.
+Only ``loop_jack_batch`` imports steinlab internals: it replays the scalar
+growth loop, one chain at a time, that the vectorized batch sweep must equal.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from steinlab.jack_model import _grow, content_scale
 
 
 @lru_cache(maxsize=None)
@@ -176,3 +179,18 @@ def argsort_distinct_rows(rng, N: int, m: int, rows: int):
         dup = np.zeros_like(out, dtype=bool)
         np.put_along_axis(dup, order, dup_sorted, axis=1)
         out[dup] = rng.integers(0, N, size=int(dup.sum()))
+
+
+def loop_jack_batch(n: int, alpha, rng, size: int) -> dict:
+    """``sample_jack_batch`` as a per-draw loop over the scalar ``_grow``."""
+    if n < 2:
+        raise ValueError("standardized sampling needs n >= 2")
+    af = float(Fraction(alpha))
+    scale = content_scale(n, alpha)
+    w = np.empty(size)
+    lam1_prev = np.empty(size, dtype=np.int64)
+    for i in range(size):
+        runs, boxes, y = _grow(n, af, rng)
+        w[i] = y / scale
+        lam1_prev[i] = runs[0][0] - (boxes[-1][0] == 0)  # first row before the last box
+    return {"w": w, "lambda1_prev": lam1_prev}

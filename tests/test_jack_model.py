@@ -9,10 +9,20 @@ from scipy.stats import chi2
 
 from steinlab import jack_model as jm
 
-from oracles import literal_jack_probability, literal_transition_probs, partition_count
+from oracles import (
+    literal_jack_probability,
+    literal_transition_probs,
+    loop_jack_batch,
+    partition_count,
+)
 
 ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
 LAW_ALPHAS = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2)]
+# near one column (large alpha), many corners (alpha near 1), near one row (small alpha), n = 2
+SWEEP_POINTS = [
+    (16, 64), (32, "181.019336"), (64, 512), (100, 1000), (50, 1), (100, 1), (40, "7/2"),
+    (30, "1/3"), (10, "1/4"), (64, "1/512"), (16, "1/64"), (32, "125000/22627417"), (2, 2),
+]
 
 
 class TestArmLeg:
@@ -242,6 +252,53 @@ class TestKerovSampling:
                 )
                 prev, _ = jm.kerov_sample(n - 1, alpha, np.random.default_rng(seed))
                 assert batch["lambda1_prev"][0] == prev[0]
+
+
+def assert_sweep_equals_loop(n, alpha, seed, size):
+    rng_sweep, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = jm.sample_jack_batch(n, alpha, rng_sweep, size)
+    want = loop_jack_batch(n, alpha, rng_loop, size)
+    for key in ("w", "lambda1_prev"):
+        assert got[key].dtype == want[key].dtype
+        assert np.array_equal(got[key], want[key])
+    assert rng_sweep.random() == rng_loop.random()
+
+
+class TestBatchSweep:
+    """The numpy sweep draws exactly what the per-draw ``_grow`` loop draws."""
+
+    @pytest.mark.parametrize("n, alpha", SWEEP_POINTS)
+    def test_sweep_equals_loop(self, n, alpha):
+        for seed in range(3):
+            for size in (0, 1, 7, 300):
+                assert_sweep_equals_loop(n, Fraction(alpha), seed, size)
+
+    def test_batch_law_equals_corner_law(self):
+        alphas = [float(a) for a in LAW_ALPHAS] + [181.019336, 1 / 181.019336]
+        for n in range(1, 15):
+            runs = [jm._parts_to_runs(parts) for parts in jm.enumerate_partitions(n)]
+            r = np.array([len(rs) for rs in runs])
+            v = np.zeros((len(runs), r.max() + 2), dtype=np.int64)  # a spare zero lane
+            c = np.zeros_like(v)
+            for i, rs in enumerate(runs):
+                v[i, : r[i]], c[i, : r[i]] = zip(*rs)
+            for alpha in alphas:
+                x, weights = jm._batch_corner_law(v, c, r, alpha)
+                for i, rs in enumerate(runs):
+                    contents, want = jm._corner_law(rs, alpha)
+                    assert x[i, : r[i] + 1].tolist() == contents
+                    assert weights[i, : r[i] + 1].tolist() == want
+                    assert not weights[i, r[i] + 1 :].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_sweep_equals_loop_random(self, n, a, b, seed):
+        assert_sweep_equals_loop(n, Fraction(a, b), seed, 5)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(jm, "_BATCH_ROWS", 7)
+        for n, alpha in ((40, Fraction(1)), (64, Fraction(512)), (30, Fraction(1, 3))):
+            assert_sweep_equals_loop(n, alpha, 0, 23)
 
 
 class TestDegeneracyAndRegion:
