@@ -6,8 +6,10 @@ the N = C(n,2) unordered-pair slots; the edges are the slots pi(1..m).  The
 coupling removes a chosen vertex and relocates its incident edges uniformly
 onto free slots, producing a graph on n-1 vertices with the same edge count.
 
-The exact mean, variance and law of Y all come from one table, the binomial
-moments S_j = C(n,j) C(C(n-j,2), m) = C(N,m) E C(Y,j).
+The exact law of Y comes from the binomial moments
+S_j = C(n,j) C(C(n-j,2), m) = C(N,m) E C(Y,j); the exact mean and variance
+come from the short falling-factorial ratios E C(Y,j) = C(n,j) (N-m)_d / (N)_d
+for j <= 2, where d is the number of slots touching j given vertices.
 
 Exhaustive checkers integrate over edge sets directly (the permutation only
 matters through the edge set) and over relocation-target subsets (the
@@ -101,26 +103,37 @@ def isolated_count(graph: ErGraphState) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _binomial_moments(params: ErParams, top: int = 2) -> list[int]:
-    """[S_0, ..., S_top]: S_j counts edge sets with j marked isolated vertices."""
-    n, m = params.n, params.m
-    return [binomial(n, j) * binomial(binomial(n - j, 2), m) for j in range(top + 1)]
+def _factorial_moments(params: ErParams) -> tuple[int, int, int]:
+    """(s_0, s_1, s_2) with s_j / s_0 = E C(Y,j).
+
+    j given vertices are isolated when the m edges avoid the d_j slots that
+    touch them (d_1 = n-1, d_2 = 2n-3), so E C(Y,j) = C(n,j) C(N-d_j, m) / C(N,m)
+    = C(n,j) (N-m)_{d_j} / (N)_{d_j}.  Over the common denominator
+    s_0 = (N)_{d_2}, s_j = C(n,j) (N-m)_{d_j} (N-d_j)_{d_2-d_j}.
+    """
+    n, m, N = params.n, params.m, params.slots
+    d = (0, n - 1, 2 * n - 3)
+    # math.perm(N - m, d_j) is 0 when N - m < d_j, as C(N - d_j, m) is
+    return tuple(
+        binomial(n, j) * math.perm(N - m, d[j]) * math.perm(N - d[j], d[2] - d[j])
+        for j in range(3)
+    )
 
 
-def _moments_from(s: list[int]) -> tuple[Fraction, Fraction]:
-    mu = Fraction(s[1], s[0])
-    return mu, mu + Fraction(2 * s[2], s[0]) - mu * mu
-
-
+@lru_cache(maxsize=None)
 def exact_moments(params: ErParams) -> tuple[Fraction, Fraction]:
     """Exact (mean, variance) of the isolated-vertex count."""
-    return _moments_from(_binomial_moments(params))
+    s0, s1, s2 = _factorial_moments(params)
+    mu = Fraction(s1, s0)
+    # sigma^2 = E Y + 2 E C(Y,2) - (E Y)^2
+    return mu, Fraction(s1 + 2 * s2, s0) - mu * mu
 
 
 def exact_y_law(params: ErParams) -> DiscreteLaw:
     """Exact law of the isolated-vertex count: the Taylor shift of sum_j S_j x^j
     to x - 1, by additions only, has the coefficients C(N,m) P(Y = k)."""
-    c = _binomial_moments(params, params.n)
+    n, m = params.n, params.m
+    c = [binomial(n, j) * binomial(binomial(n - j, 2), m) for j in range(n + 1)]
     total = c[0]
     for i in range(len(c) - 1):
         for k in range(len(c) - 2, i - 1, -1):
@@ -409,15 +422,17 @@ def check_stein_identity_exhaustive(params: ErParams, coeffs: Sequence) -> dict:
 def check_negative_correlation(params: ErParams) -> dict:
     """Joint isolation probability below the product, and the variance caps
     sigma^2 <= mu and sigma^2 <= 2m, all in exact arithmetic."""
-    s = _binomial_moments(params)
-    joint = Fraction(s[2], binomial(params.n, 2) * s[0])
-    single = Fraction(s[1], params.n * s[0])
-    mu, s2 = _moments_from(s)
+    n = params.n
+    s0, s1, s2 = _factorial_moments(params)
+    single = Fraction(s1, n * s0)
+    # joint = s2 / (C(n,2) s0), single = s1 / (n s0), and
+    # sigma^2 = (s0 (s1 + 2 s2) - s1^2) / s0^2, with mu = s1 / s0
     return {
-        "joint": joint,
+        "joint": Fraction(s2, binomial(n, 2) * s0),
         "product": single * single,
-        "holds": joint <= single * single,
-        "variance_caps": s2 <= mu and s2 <= 2 * params.m,
+        "holds": 2 * n * s0 * s2 <= (n - 1) * s1 * s1,
+        "variance_caps": 2 * s0 * s2 <= s1 * s1
+        and s0 * (s1 + 2 * s2) - s1 * s1 <= 2 * params.m * s0 * s0,
     }
 
 

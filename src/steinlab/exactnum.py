@@ -71,8 +71,20 @@ def hyp_pmf(params: HypergeometricParams, k: int) -> Fraction:
 
 
 def hyp_pmf_vector(params: HypergeometricParams) -> dict[int, Fraction]:
-    """The full pmf over the support, as {k: probability}."""
-    return {k: hyp_pmf(params, k) for k in params.support()}
+    """The full pmf over the support, as {k: probability}.
+
+    The numerators C(n,k) C(N-n, m-k) follow each other by the pmf ratio
+    (n-k)(m-k) / ((k+1)(N-n-m+k+1)), an exact integer division at each step.
+    """
+    N, m, n = params.population, params.draws, params.special
+    support = params.support()
+    total = binomial(N, m)
+    num = binomial(n, support.start) * binomial(N - n, m - support.start)
+    out = {}
+    for k in support:
+        out[k] = Fraction(num, total)
+        num = num * (n - k) * (m - k) // ((k + 1) * (N - n - m + k + 1))
+    return out
 
 
 def hyp_moment(params: HypergeometricParams, j: int) -> Fraction:
@@ -123,7 +135,8 @@ def check_zero_prob_sandwich(params: HypergeometricParams) -> dict:
     bound and the P[H > 0] sandwich are checked.
     """
     N, m, n = params.population, params.draws, params.special
-    p0 = float(hyp_zero_prob(params))
+    # int / int is correctly rounded, so this is float(hyp_zero_prob(params))
+    p0 = falling_factorial(N - n, m) / falling_factorial(N, m)
     x = m * n / N if N > 0 else 0.0
     upper = math.exp(-x)
     lower_applicable = m + n - 1 < N
@@ -135,8 +148,8 @@ def check_zero_prob_sandwich(params: HypergeometricParams) -> dict:
 
     p_pos = 1.0 - p0
     quad = x - x * x / 2
-    holds = holds and quad <= (1 - math.exp(-x)) + FLOAT_SLACK
-    holds = holds and (1 - math.exp(-x)) <= p_pos + FLOAT_SLACK
+    holds = holds and quad <= (1 - upper) + FLOAT_SLACK
+    holds = holds and (1 - upper) <= p_pos + FLOAT_SLACK
     holds = holds and p_pos <= x + FLOAT_SLACK
 
     return {"p0": p0, "lower": lower, "upper": upper, "holds": holds}

@@ -90,6 +90,32 @@ def brute_er_moments(n: int, m: int) -> tuple[Fraction, Fraction]:
     return mu, Fraction(s2, total) - mu * mu
 
 
+def binomial_moment_table(n: int, m: int) -> list[int]:
+    """[S_0, S_1, S_2] with S_j = C(n,j) C(C(n-j,2), m) = C(N,m) E C(Y,j)."""
+    return [math.comb(n, j) * math.comb(math.comb(n - j, 2), m) for j in range(3)]
+
+
+def binomial_table_moments(n: int, m: int) -> tuple[Fraction, Fraction]:
+    """(mean, variance) of the isolated-vertex count from the binomial moments."""
+    s = binomial_moment_table(n, m)
+    mu = Fraction(s[1], s[0])
+    return mu, mu + Fraction(2 * s[2], s[0]) - mu * mu
+
+
+def binomial_table_negative_correlation(n: int, m: int) -> dict:
+    """The negative-correlation report from Fractions of the binomial moments."""
+    s = binomial_moment_table(n, m)
+    joint = Fraction(s[2], math.comb(n, 2) * s[0])
+    single = Fraction(s[1], n * s[0])
+    mu, s2 = binomial_table_moments(n, m)
+    return {
+        "joint": joint,
+        "product": single * single,
+        "holds": joint <= single * single,
+        "variance_caps": s2 <= mu and s2 <= 2 * m,
+    }
+
+
 def brute_er_isolated_law(n: int, m: int) -> dict[int, Fraction]:
     pairs = list(itertools.combinations(range(n), 2))
     acc: dict[int, Fraction] = {}

@@ -194,6 +194,13 @@ class TestVerify:
         payload = json.loads(out)
         assert "kerov_consistency" in payload["failed"]
 
+    def test_perturbed_weights_fail_after_clean_run(self, capsys, monkeypatch):
+        # exact laws that verify checks against each other are never memoised
+        # process-wide: a law cached by the clean run would hide the perturbation
+        code, _, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        self.test_perturbed_kerov_weights_fail(capsys, monkeypatch)
+
 
 class TestRecursionCommand:
     def test_values_printed(self, capsys):

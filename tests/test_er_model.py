@@ -17,6 +17,8 @@ from oracles import (
     argsort_distinct_rows,
     brute_coupled_isolated,
     brute_er_isolated_law,
+    binomial_table_moments,
+    binomial_table_negative_correlation,
     brute_er_moments,
 )
 
@@ -189,6 +191,23 @@ class TestExactMoments:
                 if ex.binomial(ex.binomial(n, 2), m) > 20_000:
                     continue
                 assert er.exact_moments(er.ErParams(n, m)) == brute_er_moments(n, m)
+
+    def test_equal_to_binomial_table(self):
+        # every m for n <= 40, the moment-sandwich candidates of acceptance
+        # criterion 8 for n <= 120, m = n at 400, and m far above n
+        points = [(n, m) for n in range(3, 41) for m in range(1, ex.binomial(n, 2))]
+        for n in range(6, 121):
+            m_max = int(n * n / 4 - 1.5 * n)
+            for m in {1, n // 2, n, 2 * n, int(n**1.5), n * n // 8, m_max}:
+                if 0 < m < ex.binomial(n, 2):
+                    points.append((n, m))
+        points += [(400, 400), (200, 9700)]
+        for n, m in points:
+            params = er.ErParams(n, m)
+            assert er.exact_moments(params) == binomial_table_moments(n, m), (n, m)
+            assert er.check_negative_correlation(params) == binomial_table_negative_correlation(
+                n, m
+            ), (n, m)
 
     def test_exact_y_law_consistent(self):
         for n, m in [(5, 4), (100, 100), (200, 200), (400, 400)]:

@@ -61,10 +61,20 @@ class TestHypPmf:
             for m in range(0, N + 1, 3):
                 for n in range(0, N + 1, 3):
                     params = ex.HypergeometricParams(N, m, n)
-                    assert sum(ex.hyp_pmf_vector(params).values()) == 1
+                    pmf = ex.hyp_pmf_vector(params)
+                    assert sum(pmf.values()) == 1
+                    assert pmf == {k: ex.hyp_pmf(params, k) for k in params.support()}
                     flipped = ex.HypergeometricParams(N, n, m)
                     for k in range(min(m, n) + 1):
                         assert ex.hyp_pmf(params, k) == ex.hyp_pmf(flipped, k)
+
+    def test_vector_matches_brute_enumeration(self):
+        for N in range(9):
+            for m in range(N + 1):
+                for n in range(N + 1):
+                    params = ex.HypergeometricParams(N, m, n)
+                    expected = {k: brute_hyp_pmf(N, m, n, k) for k in params.support()}
+                    assert ex.hyp_pmf_vector(params) == expected
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -163,10 +173,13 @@ class TestZeroProbSandwich:
         assert rep["p0"] == 1.0 and rep["holds"]
 
     def test_grid(self):
-        for N in range(1, 61):
-            for m in range(0, N + 1, 3):
-                for n in range(0, N + 1, 3):
-                    assert ex.check_zero_prob_sandwich(ex.HypergeometricParams(N, m, n))["holds"]
+        for N in range(61):
+            for m in range(N + 1):
+                for n in range(N + 1):
+                    params = ex.HypergeometricParams(N, m, n)
+                    rep = ex.check_zero_prob_sandwich(params)
+                    assert rep["holds"]
+                    assert rep["p0"] == float(ex.hyp_zero_prob(params))
 
 
 class TestExpRemainderEnvelope:
