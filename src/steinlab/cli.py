@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -229,8 +230,10 @@ def run_report(command: str, config: dict) -> int:
     _, row_fn, columns = REPORTS[command]
     grid = config["grid"]
     tasks = (repeat(config), range(len(grid)), grid)
-    if config["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=config["workers"]) as pool:
+    # the pool starts all its workers at the first submit: start no idle ones
+    workers = min(config["workers"], len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row_fn, *tasks))
     else:
         rows = list(map(row_fn, *tasks))
@@ -424,6 +427,11 @@ def _checked(convert, ok, need: str):
     return parse
 
 
+def _file_in_existing_dir(path: str) -> bool:
+    """Checked before sampling, so a report is never computed only to fail at the write."""
+    return bool(path) and not os.path.isdir(path) and os.path.isdir(os.path.dirname(path) or ".")
+
+
 _BOTH = tuple(REPORTS)
 _OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
@@ -435,7 +443,7 @@ OPTIONS = {
     "confidence": (_OPEN_UNIT, 0.05, _BOTH),
     "epsilon": (_OPEN_UNIT, 0.4, ("jack-report",)),
     "thresholds": (_parse_thresholds, None, ("er-report",)),
-    "out": (_checked(str, bool, "a file path"), None, _BOTH),
+    "out": (_checked(str, _file_in_existing_dir, "a file path in an existing directory"), None, _BOTH),
     "format": (_checked(str, ("csv", "json").__contains__, "csv or json"), "csv", _BOTH),
     "workers": (_checked(int, lambda v: v >= 1, "an integer >= 1"), 1, _BOTH),
 }

@@ -51,28 +51,9 @@ class ErParams:
         return binomial(self.n, 2)
 
 
-def edge_index(v: int, w: int, n: int) -> int:
-    """1-based slot of the pair {v, w} in the row-major pair enumeration."""
-    if not 1 <= v < w <= n:
-        raise ValueError("need 1 <= v < w <= n")
-    return (v - 1) * n - v * (v - 1) // 2 + (w - v)
-
-
-def slot_to_pair(i: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index; returns (v, w) with v < w."""
-    N = binomial(n, 2)
-    if not 1 <= i <= N:
-        raise ValueError("slot index out of range")
-    v = 1
-    while i > n - v:
-        i -= n - v
-        v += 1
-    return v, v + i
-
-
 @lru_cache(maxsize=None)
 def pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    """pair_table(n)[i-1] = slot_to_pair(i, n), materialized once."""
+    """Slot i (1-based) holds the pair pair_table(n)[i-1] = (v, w), v < w, row-major."""
     return tuple((v, w) for v in range(1, n) for w in range(v + 1, n + 1))
 
 
@@ -217,8 +198,6 @@ def domain_label(params: ErParams) -> str:
 @dataclass(frozen=True)
 class RedistributionResult:
     relocated_slots: frozenset
-    receiving_vertices: frozenset
-    lost_neighbors: frozenset
     b_v: int
 
 
@@ -237,11 +216,9 @@ def redistribute(graph: ErGraphState, v: int, sigma_v: Iterable[int]) -> Redistr
 
     ``sigma_v`` is consumed in order; a candidate slot is accepted when it is
     not incident to v and not already an edge.  Deterministic given the graph
-    and the candidate sequence.  Returns the accepted slots, their endpoints
-    (receiving vertices), the neighbors of v that receive none of them (lost
-    neighbors), and b_v = Y - Y_v, where Y_v comes from ``_coupled_isolated``,
-    the one recount of the coupled graph, shared with the exhaustive
-    Stein-identity check.
+    and the candidate sequence.  Returns the accepted slots and b_v = Y - Y_v,
+    where Y_v comes from ``_coupled_isolated``, the one recount of the coupled
+    graph, shared with the exhaustive Stein-identity check.
     """
     return _redistribute(graph, degrees(graph), v, sigma_v)
 
@@ -265,31 +242,10 @@ def _redistribute(
         if v not in table[slot - 1] and slot not in edges:
             relocated.add(slot)
 
-    receiving = frozenset(w for s in relocated for w in table[s - 1])
-    neighbors = {w for s in edges for w in table[s - 1] if v in table[s - 1] and w != v}
-    lost = frozenset(neighbors - receiving)
     return RedistributionResult(
         relocated_slots=frozenset(relocated),
-        receiving_vertices=receiving,
-        lost_neighbors=lost,
         b_v=deg.count(0) - _coupled_isolated(edges, v, relocated, table, n),
     )
-
-
-def b_v_decomposition(graph: ErGraphState, v: int, result: RedistributionResult) -> int:
-    """I_v + sum over receiving vertices of I_w - sum over lost neighbors of
-    I[d_w = 1], asserted equal to the direct recount difference."""
-    deg = degrees(graph)
-    value = (
-        (1 if deg[v - 1] == 0 else 0)
-        + sum(1 for w in result.receiving_vertices if deg[w - 1] == 0)
-        - sum(1 for w in result.lost_neighbors if deg[w - 1] == 1)
-    )
-    if value != result.b_v:
-        raise RuntimeError(
-            f"decomposition {value} != direct difference {result.b_v}; coupling bug"
-        )
-    return value
 
 
 class DegenerateParamsError(ValueError):

@@ -77,15 +77,6 @@ def conjugate(parts: Sequence[int]) -> tuple:
     return tuple(sum(1 for p in parts if p >= c) for c in range(1, parts[0] + 1))
 
 
-def arm_leg(parts: Sequence[int], box: tuple[int, int]) -> tuple[int, int]:
-    """(arm, leg) of a box given as 1-based (row, col)."""
-    parts = _validate_partition(parts)
-    r, c = box
-    if not (1 <= r <= len(parts) and 1 <= c <= parts[r - 1]):
-        raise ValueError("box outside the diagram")
-    return parts[r - 1] - c, conjugate(parts)[c - 1] - r
-
-
 def enumerate_partitions(n: int) -> list[tuple]:
     """All partitions of n, largest part first."""
     if not 1 <= n <= MAX_ENUMERATION_N:
@@ -133,15 +124,6 @@ def content_sum(parts: Sequence[int], alpha) -> Fraction:
 
 def content_scale(n: int, alpha) -> float:
     return math.sqrt(float(Fraction(alpha) * binomial(n, 2)))
-
-
-def standardized_content(parts: Sequence[int], alpha) -> float:
-    """W = Y / sqrt(alpha C(n,2)) for a partition of n >= 2."""
-    parts = _validate_partition(parts)
-    n = sum(parts)
-    if n < 2:
-        raise ValueError("standardization needs n >= 2")
-    return float(content_sum(parts, alpha)) / content_scale(n, alpha)
 
 
 def addable_corners(parts: Sequence[int]) -> list[tuple[int, int]]:

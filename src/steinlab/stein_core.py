@@ -1,10 +1,10 @@
-"""Model-agnostic coupling checkers, distance estimators and the recursion device.
+"""Model-agnostic discrete laws, distance estimators, the recursion device and
+the exhaustive Efron-Stein check.
 
-Discrete laws carry exact rational probabilities so the coupling identities
-(exchangeable pair, size bias, zero bias on two-point laws) can be verified
-as exact identities on atoms.  The empirical Kolmogorov estimator and the
-normal-distance helpers are float-valued, with the normal CDF evaluated
-through the complementary error function (absolute error below 1e-15).
+Discrete laws carry exact rational probabilities.  The empirical Kolmogorov
+estimator and the normal-distance helpers are float-valued, with the normal
+CDF evaluated through the complementary error function (absolute error below
+1e-15).
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ class KernelConditionError(ValueError):
     pass
 
 
-def _validate_kernel(kernel: FiniteKernel, q: float, tol: float = 1e-12) -> None:
+def _validate_kernel(kernel: FiniteKernel, tol: float = 1e-12) -> None:
     for s in kernel.states:
         rows = kernel.transitions.get(s, ())
         mean_x = float(sum(Fraction(p) * Fraction(x) for _, x, p in rows))
@@ -208,7 +208,7 @@ def recursion_bound_solve(kernel: FiniteKernel, spec: RecursionSpec, tol: float 
     conditions fail, or when the solved map violates the growth control
     a <= r, max_{X>0} r(Psi) <= r/(2q).
     """
-    _validate_kernel(kernel, spec.q)
+    _validate_kernel(kernel)
     start = spec.c / (1.0 - spec.q) + 1.0
     a = {s: start for s in kernel.states}
     for _ in range(100_000):
@@ -240,131 +240,6 @@ def recursion_bound_solve(kernel: FiniteKernel, spec: RecursionSpec, tol: float 
 
     sup_ok = max(a.values()) <= spec.c / (1.0 - spec.q) + 1e-9
     return {"a": a, "sup_ok": sup_ok}
-
-
-# ---------------------------------------------------------------------------
-# Coupling identity checkers
-# ---------------------------------------------------------------------------
-
-
-def check_stein_pair(pair_law: DiscreteLaw, lam) -> dict:
-    """Exchangeability and E[W'|W] = (1-lambda) W, plus the coupling identity.
-
-    ``pair_law`` is a joint law over (w, w') tuples with exact values and
-    probabilities.  With G = (W'-W)/(2 lambda) the coupling identity
-    E[G f(W') - G f(W)] = E[W f(W)] is verified exactly for f = x, x^2, x^3.
-    """
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("lambda must lie in (0, 1]")
-    joint: dict = {}
-    for (w, wp), p in pair_law.atoms:
-        joint[(w, wp)] = joint.get((w, wp), Fraction(0)) + p
-    exchangeable = all(joint.get((b, a), Fraction(0)) == p for (a, b), p in joint.items())
-
-    cond: dict = {}
-    for (w, wp), p in joint.items():
-        cond.setdefault(w, []).append((wp, p))
-    conditional_mean_ok = all(
-        sum(p * (Fraction(wp) - (1 - lam) * Fraction(w)) for wp, p in rows) == 0
-        for w, rows in cond.items()
-    )
-
-    identity_ok = {}
-    for deg in (1, 2, 3):
-        lhs = sum(
-            p * (Fraction(wp) - Fraction(w)) / (2 * lam) * (Fraction(wp) ** deg - Fraction(w) ** deg)
-            for (w, wp), p in joint.items()
-        )
-        rhs = sum(p * Fraction(w) ** (deg + 1) for (w, wp), p in joint.items())
-        identity_ok[deg] = lhs == rhs
-
-    return {
-        "exchangeable": exchangeable,
-        "conditional_mean_ok": conditional_mean_ok,
-        "identity_ok": identity_ok,
-        "is_stein_pair": exchangeable and conditional_mean_ok and all(identity_ok.values()),
-    }
-
-
-def zero_bias_two_point(a, b) -> dict:
-    """Zero-bias transform of the mean-zero two-point law at a > 0 > b.
-
-    The law puts mass -b/(a-b) at a and a/(a-b) at b; its zero-bias
-    distribution is uniform on (b, a).  The transform identity
-    E[W f(W)] = sigma^2 E[f'(W*)] is verified exactly for f = x^k, k <= 4,
-    using E[(W*)^j] = (a^(j+1) - b^(j+1)) / ((j+1)(a-b)).
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not (a > 0 > b):
-        raise ValueError("need a > 0 > b for a mean-zero two-point law")
-    p_a = -b / (a - b)
-    p_b = a / (a - b)
-    sigma2 = -a * b
-
-    def law_moment(j):
-        return p_a * a**j + p_b * b**j
-
-    def uniform_moment(j):
-        return (a ** (j + 1) - b ** (j + 1)) / ((j + 1) * (a - b))
-
-    checks = {"mean_zero": law_moment(1) == 0, "variance": law_moment(2) == sigma2}
-    for k in range(1, 5):
-        checks[f"identity_x{k}"] = law_moment(k + 1) == sigma2 * k * uniform_moment(k - 1)
-
-    return {
-        "lower": b,
-        "upper": a,
-        "p_upper": p_a,
-        "p_lower": p_b,
-        "variance": sigma2,
-        "checks": checks,
-        "all_ok": all(checks.values()),
-    }
-
-
-def size_bias_law(law: DiscreteLaw) -> DiscreteLaw:
-    """The tilted law k p_k / mu of a nonnegative law with positive mean."""
-    mu = law.moment(1)
-    if mu <= 0:
-        raise ValueError("size biasing needs a positive mean")
-    return law_from_pairs((v, Fraction(v) * p / mu) for v, p in law.atoms)
-
-
-def check_size_bias(law: DiscreteLaw, coupled_law: DiscreteLaw) -> dict:
-    """E[Y f(Y)] = mu E[f(Y^s)] on atoms, plus the coupling-identity reduction.
-
-    Checks f = x, x^2 and the indicator grid f = 1[. <= t] at every atom,
-    then the reduction W = Y - mu, W' = Y' - mu, G = mu against the coupling
-    identity for f = x, x^2, x^3.  All comparisons are exact.
-    """
-    mu = law.moment(1)
-    if mu <= 0:
-        raise ValueError("size biasing needs a positive mean")
-
-    def both(f):
-        return law.expect(lambda y: Fraction(y) * f(y)), mu * coupled_law.expect(f)
-
-    tilt_ok = {}
-    for name, f in (("x", lambda y: Fraction(y)), ("x2", lambda y: Fraction(y) ** 2)):
-        lhs, rhs = both(f)
-        tilt_ok[name] = lhs == rhs
-    for t, _ in law.atoms:
-        lhs, rhs = both(lambda y, t=t: Fraction(1 if y <= t else 0))
-        tilt_ok[f"ind<= {t}"] = lhs == rhs
-
-    identity_ok = {}
-    for deg in (1, 2, 3):
-        f = lambda w, d=deg: Fraction(w) ** d
-        lhs = mu * (coupled_law.expect(lambda y: f(Fraction(y) - mu)) - law.expect(lambda y: f(Fraction(y) - mu)))
-        rhs = law.expect(lambda y: (Fraction(y) - mu) * f(Fraction(y) - mu))
-        identity_ok[deg] = lhs == rhs
-
-    return {
-        "tilt_ok": tilt_ok,
-        "identity_ok": identity_ok,
-        "all_ok": all(tilt_ok.values()) and all(identity_ok.values()),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,38 @@ def brute_coupled_isolated(n: int, edge_slots, v: int, relocated_slots) -> int:
     return sum(1 for w in range(1, n + 1) if w != v and w not in touched)
 
 
+def edge_index(v: int, w: int, n: int) -> int:
+    """1-based slot of the pair {v, w}, v < w, in the row-major pair order, in
+    closed form: the reference for ``pair_table`` and ``np.triu_indices``."""
+    return (v - 1) * n - v * (v - 1) // 2 + (w - v)
+
+
+def slot_to_pair(i: int, n: int) -> tuple[int, int]:
+    """Inverse of ``edge_index``, by walking the rows of the pair order."""
+    v = 1
+    while i > n - v:
+        i -= n - v
+        v += 1
+    return v, v + i
+
+
+def b_v_decomposition(graph, v: int, relocated_slots) -> int:
+    """b_v = Y - Y_v as I_v + sum of I_w over the receiving vertices (endpoints
+    of the relocated slots) - sum of I[d_w = 1] over the lost neighbors (the
+    neighbors of v that receive none of them)."""
+    n = graph.params.n
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = [pairs[s - 1] for s in graph.edge_slots()]
+    deg = {w: sum(1 for e in edges if w in e) for w in range(1, n + 1)}
+    receiving = {w for s in relocated_slots for w in pairs[s - 1]}
+    neighbors = {w for e in edges if v in e for w in e if w != v}
+    return (
+        (deg[v] == 0)
+        + sum(1 for w in receiving if deg[w] == 0)
+        - sum(1 for w in neighbors - receiving if deg[w] == 1)
+    )
+
+
 def _hook_product(parts: tuple, alpha: Fraction, extra=1) -> Fraction:
     """prod over boxes of (alpha arm + leg + extra), each leg found by
     scanning the rows below the box."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from steinlab import cli, jack_model
+from steinlab import cli, er_model, jack_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,6 +58,52 @@ class TestErReport:
         _, serial, _ = run_cli(base, capsys)
         _, parallel, _ = run_cli(base + ["--workers", "2"], capsys)
         assert serial == parallel
+
+    @pytest.mark.parametrize(("workers", "started"), [(64, 3), (2, 2)])
+    def test_pool_has_no_more_workers_than_rows(self, capsys, monkeypatch, workers, started):
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        base = ["er-report", "--grid", "4,2;4,3;5,3", "--samples", "400", "--seed", "5"]
+        _, serial, _ = run_cli(base, capsys)
+        code, parallel, _ = run_cli(base + ["--workers", str(workers)], capsys)
+        assert code == 0 and parallel == serial
+        assert pools == [started]
+
+    def test_one_row_runs_serially(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a pool for one row")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code, _, _ = run_cli(["er-report", "--grid", "4,2", "--samples", "200", "--workers", "8"], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory", "empty"])
+    def test_bad_out_fails_before_sampling(self, capsys, monkeypatch, tmp_path, where):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(er_model, "sample_isolated_counts", no_sampling)
+        out = {"missing-dir": tmp_path / "nonexistent" / "x.csv", "a-directory": tmp_path,
+               "empty": ""}[where]
+        code, stdout, err = run_cli(
+            ["er-report", "--grid", "5,3", "--samples", "100", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and err.startswith("config error: out: ")
 
     def test_empty_grid_is_config_error(self, capsys):
         code, _, err = run_cli(["er-report", "--grid", ";"], capsys)

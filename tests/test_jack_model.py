@@ -25,28 +25,6 @@ SWEEP_POINTS = [
 ]
 
 
-class TestArmLeg:
-    def test_known_diagram(self):
-        assert jm.arm_leg((4, 2, 1), (1, 1)) == (3, 2)
-        assert jm.arm_leg((4, 2, 1), (1, 4)) == (0, 0)
-        assert jm.arm_leg((1,), (1, 1)) == (0, 0)
-
-    def test_leg_counts_rows_below(self):
-        for parts in jm.enumerate_partitions(8):
-            for r, lam in enumerate(parts, start=1):
-                for c in range(1, lam + 1):
-                    below = sum(1 for p in parts[r:] if p >= c)
-                    assert jm.arm_leg(parts, (r, c)) == (lam - c, below)
-
-    def test_box_outside(self):
-        with pytest.raises(ValueError):
-            jm.arm_leg((4, 2, 1), (2, 3))
-
-    def test_invalid_partition(self):
-        with pytest.raises(ValueError):
-            jm.arm_leg((1, 2), (1, 1))
-
-
 class TestEnumeration:
     def test_counts_match_recurrence(self):
         for n in range(1, 16):
@@ -100,6 +78,11 @@ class TestJackProbability:
                 assert jm.jack_probability(parts, 1) == jm.jack_probability(conj, 1)
                 assert jm.content_sum(conj, 1) == -jm.content_sum(parts, 1)
 
+    def test_invalid_partition(self):
+        for parts in ((1, 2), (2, 0)):
+            with pytest.raises(ValueError):
+                jm.jack_probability(parts, 1)
+
 
 class TestContentSum:
     def test_two_box_values(self):
@@ -117,7 +100,7 @@ class TestContentSum:
             assert jm.content_sum((k,) * k, 1) == 0
 
     def test_standardized(self):
-        w = jm.standardized_content((2,), 4)
+        w = float(jm.content_sum((2,), 4)) / jm.content_scale(2, 4)
         assert w == pytest.approx(2.0)  # alpha / sqrt(alpha) = sqrt(alpha)
 
 
@@ -247,9 +230,8 @@ class TestKerovSampling:
             for seed in range(5):
                 batch = jm.sample_jack_batch(n, alpha, np.random.default_rng(seed), 1)
                 parts, _ = jm.kerov_sample(n, alpha, np.random.default_rng(seed))
-                assert batch["w"][0] == pytest.approx(
-                    jm.standardized_content(parts, alpha), abs=1e-12
-                )
+                w = float(jm.content_sum(parts, alpha)) / jm.content_scale(n, alpha)
+                assert batch["w"][0] == pytest.approx(w, abs=1e-12)
                 prev, _ = jm.kerov_sample(n - 1, alpha, np.random.default_rng(seed))
                 assert batch["lambda1_prev"][0] == prev[0]
 

@@ -183,70 +183,6 @@ class TestRecursionBoundSolve:
             sc.recursion_bound_solve(kernel, sc.RecursionSpec(0.9, 0.05))
 
 
-class TestSteinPair:
-    def test_identity_pair_not_a_stein_pair(self):
-        law = sc.DiscreteLaw((((1, 1), Fraction(1, 2)), ((-1, -1), Fraction(1, 2))))
-        rep = sc.check_stein_pair(law, Fraction(1, 2))
-        assert rep["exchangeable"]
-        assert not rep["conditional_mean_ok"]
-        assert not rep["is_stein_pair"]
-
-    def test_identity_pair_at_zero_is_fine(self):
-        law = sc.DiscreteLaw((((0, 0), Fraction(1)),))
-        assert sc.check_stein_pair(law, Fraction(1, 2))["is_stein_pair"]
-
-    def test_symmetric_two_state_walk(self):
-        # full resampling of a +-1 state: E[W'|W] = 0, a lambda = 1 pair
-        law = sc.DiscreteLaw(
-            tuple(((a, b), Fraction(1, 4)) for a in (1, -1) for b in (1, -1))
-        )
-        rep = sc.check_stein_pair(law, 1)
-        assert rep["is_stein_pair"]
-
-    def test_jack_two_step_pair(self):
-        # two conditionally independent growth steps from (1), content scale
-        from steinlab import jack_model as jm
-
-        for alpha in (Fraction(1), Fraction(2)):
-            dist = jm.kerov_transition_probs((1,), alpha)
-            atoms = []
-            for ci, pi in zip(dist.contents, dist.probs):
-                for cj, pj in zip(dist.contents, dist.probs):
-                    atoms.append(((ci, cj), pi * pj))
-            rep = sc.check_stein_pair(sc.law_from_pairs(atoms), 1)
-            assert rep["is_stein_pair"]
-
-    def test_lambda_validated(self):
-        law = sc.DiscreteLaw((((0, 0), Fraction(1)),))
-        with pytest.raises(ValueError):
-            sc.check_stein_pair(law, 0)
-
-
-class TestZeroBiasTwoPoint:
-    def test_symmetric_case(self):
-        rep = sc.zero_bias_two_point(1, -1)
-        assert rep["lower"] == -1 and rep["upper"] == 1
-        assert rep["variance"] == 1
-        assert rep["all_ok"]
-
-    def test_asymmetric_rational(self):
-        rep = sc.zero_bias_two_point(Fraction(2), Fraction(-1, 2))
-        assert rep["p_upper"] == Fraction(1, 5)
-        assert rep["variance"] == 1
-        assert rep["all_ok"]
-
-    def test_jack_shape(self):
-        # atoms alpha and -1 on the content scale; unit variance after scaling
-        alpha = Fraction(3)
-        rep = sc.zero_bias_two_point(alpha, Fraction(-1))
-        assert rep["variance"] == alpha
-        assert rep["all_ok"]
-
-    def test_invalid_signs(self):
-        with pytest.raises(ValueError):
-            sc.zero_bias_two_point(-1, -2)
-
-
 class TestEfronStein:
     def test_constant_function(self):
         rep = sc.check_efron_stein(lambda pi, sig: 7, 3, 1)
@@ -279,40 +215,3 @@ class TestEfronStein:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             sc.check_efron_stein(lambda pi, sig: 0, 5, 1)
-
-
-class TestSizeBias:
-    def test_bernoulli_forced(self):
-        p = Fraction(1, 3)
-        law = sc.DiscreteLaw(((0, 1 - p), (1, p)))
-        tilted = sc.size_bias_law(law)
-        assert tilted.atoms == ((1, Fraction(1)),)
-        assert sc.check_size_bias(law, tilted)["all_ok"]
-
-    def test_hypergeometric_tilt(self):
-        from steinlab import exactnum as ex
-
-        params = ex.HypergeometricParams(3, 1, 2)
-        law = sc.law_from_pairs(ex.hyp_pmf_vector(params).items())
-        tilted = sc.size_bias_law(law)
-        assert sc.check_size_bias(law, tilted)["all_ok"]
-
-    def test_truncated_poisson_like_law(self):
-        weights = [Fraction(1)]
-        for k in range(1, 11):
-            weights.append(weights[-1] * 2 / k)  # rate-2 shape, truncated
-        total = sum(weights)
-        law = sc.law_from_pairs((k, w / total) for k, w in enumerate(weights))
-        assert sc.check_size_bias(law, sc.size_bias_law(law))["all_ok"]
-
-    def test_wrong_coupled_law_detected(self):
-        law = sc.DiscreteLaw(((0, Fraction(1, 2)), (2, Fraction(1, 2))))
-        wrong = sc.DiscreteLaw(((0, Fraction(1, 2)), (2, Fraction(1, 2))))
-        assert not sc.check_size_bias(law, wrong)["all_ok"]
-
-    def test_zero_mean_rejected(self):
-        law = sc.DiscreteLaw(((0, Fraction(1)),))
-        with pytest.raises(ValueError):
-            sc.size_bias_law(law)
-        with pytest.raises(ValueError):
-            sc.check_size_bias(law, law)
