@@ -8,10 +8,10 @@ Subcommands::
     steinlab recursion   --q 0.5 --c 1 --n 10 [--chain 50]
     steinlab hyp         --params 20,5,6 [--k 2] [--t 1.0] [--moment 3]
 
-Every report option is declared once, in ``OPTIONS``; a key=value config
-file (``--config``) takes the same keys as the flags, and flags override it.
-A key the command does not take, or a value out of range, is a configuration
-error whether it comes from the file or from a flag.
+Every option of every command is declared once, in ``OPTIONS``; a report's
+``--config`` key=value file takes the same keys as the flags, which override it.
+An unknown or repeated key, a missing required option, or a value out of
+range is a configuration error whether it comes from the file or from a flag.
 CSV output starts with a ``# schema=1`` comment line; the JSON mirror carries
 the same rows.  Exit codes: 0 success, 1 check failure, 2 configuration
 error.  The master seed is split per (task, grid index), so results do not
@@ -28,6 +28,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -246,7 +247,7 @@ def run_report(command: str, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_verify_suite(config: dict) -> tuple[int, dict]:
+def run_verify_suite(config: dict) -> int:
     """Exact checks over the fixed verification grid; deterministic."""
     results: dict[str, bool] = {}
 
@@ -350,8 +351,8 @@ def run_verify_suite(config: dict) -> tuple[int, dict]:
 
     failed = sorted(name for name, passed in results.items() if not passed)
     payload = {"schema": SCHEMA, "results": results, "failed": failed}
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.get("out"))
-    return (1 if failed else 0), payload
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", config["out"])
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +361,6 @@ def run_verify_suite(config: dict) -> tuple[int, dict]:
 
 
 def run_recursion(config: dict) -> int:
-    for key in ("n", "chain"):
-        if config[key] is not None and config[key] < 1:
-            raise ConfigError(f"{key}: must be an integer >= 1, got {config[key]}")
     spec = stein_core.RecursionSpec(config["q"], config["c"])
     lines = [f"a_{n} = {stein_core.recursion_closed_form(spec, n)!r}" for n in range(1, config["n"] + 1)]
     lines.append(f"limit c/(1-q) = {config['c'] / (1 - config['q'])!r}")
@@ -396,11 +394,11 @@ def run_hyp(config: dict) -> int:
         "mean": str(params.mean),
         "zero_prob": str(exactnum.hyp_zero_prob(params)),
     }
-    if config.get("k") is not None:
+    if config["k"] is not None:
         out["pmf"] = str(exactnum.hyp_pmf(params, config["k"]))
-    if config.get("moment") is not None:
+    if config["moment"] is not None:
         out["moment"] = str(exactnum.hyp_moment(params, config["moment"]))
-    if config.get("t") is not None:
+    if config["t"] is not None:
         rep = exactnum.check_tail_bound(params, config["t"])
         out["tail_check"] = {"lhs": rep["lhs"], "rhs": rep["rhs"], "holds": rep["holds"]}
     sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
@@ -433,55 +431,67 @@ def _file_in_existing_dir(path: str) -> bool:
 
 
 _BOTH = tuple(REPORTS)
+_REQUIRED = object()  # default of an option the command cannot run without
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+_OUT = _checked(str, _file_in_existing_dir, "a file path in an existing directory")
+_PARAMS = _checked(lambda text: tuple(map(int, text.split(","))), lambda v: len(v) == 3, "integers N,m,n")
+# range checks on these stay in the library, which other callers use too
+_INT = _checked(int, lambda v: True, "an integer")
+_FLOAT = _checked(float, lambda v: True, "a number")
 
 # key -> (parse(text, command), default, commands that take it)
 OPTIONS = {
-    "grid": (_parse_grid, None, _BOTH),
+    "grid": (_parse_grid, _REQUIRED, _BOTH),
     "samples": (_checked(int, lambda v: v >= 100, "an integer >= 100"), 10_000, _BOTH),
     "seed": (_checked(int, lambda v: v >= 0, "an integer >= 0"), 1, _BOTH),
     "confidence": (_OPEN_UNIT, 0.05, _BOTH),
     "epsilon": (_OPEN_UNIT, 0.4, ("jack-report",)),
     "thresholds": (_parse_thresholds, None, ("er-report",)),
-    "out": (_checked(str, _file_in_existing_dir, "a file path in an existing directory"), None, _BOTH),
+    "out": (_OUT, None, (*_BOTH, "verify")),
     "format": (_checked(str, ("csv", "json").__contains__, "csv or json"), "csv", _BOTH),
-    "workers": (_checked(int, lambda v: v >= 1, "an integer >= 1"), 1, _BOTH),
+    "workers": (_POSITIVE_INT, 1, _BOTH),
+    "q": (_FLOAT, _REQUIRED, ("recursion",)),
+    "c": (_FLOAT, _REQUIRED, ("recursion",)),
+    "n": (_POSITIVE_INT, 10, ("recursion",)),
+    "chain": (_POSITIVE_INT, None, ("recursion",)),
+    "params": (_PARAMS, _REQUIRED, ("hyp",)),
+    "k": (_INT, None, ("hyp",)),
+    "t": (_FLOAT, None, ("hyp",)),
+    "moment": (_INT, None, ("hyp",)),
+}
+
+COMMANDS = {
+    **{command: partial(run_report, command) for command in REPORTS},
+    "verify": run_verify_suite,
+    "recursion": run_recursion,
+    "hyp": run_hyp,
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="steinlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    for command in REPORTS:
+    for command in COMMANDS:
         p = sub.add_parser(command)
-        p.add_argument("--config", help="key=value file; keys are this command's flag names")
+        if command in REPORTS:
+            p.add_argument("--config", action="append",
+                           help="key=value file; keys are this command's flag names")
         for key, (_, _, commands) in OPTIONS.items():
             if command in commands:
-                p.add_argument(f"--{key}")
-
-    pv = sub.add_parser("verify")
-    pv.add_argument("--out")
-
-    pr = sub.add_parser("recursion")
-    pr.add_argument("--q", type=float, required=True)
-    pr.add_argument("--c", type=float, required=True)
-    pr.add_argument("--n", type=int, default=10)
-    pr.add_argument("--chain", type=int)
-
-    ph = sub.add_parser("hyp")
-    ph.add_argument("--params", required=True, help="N,m,n")
-    ph.add_argument("--k", type=int)
-    ph.add_argument("--t", type=float)
-    ph.add_argument("--moment", type=int)
+                p.add_argument(f"--{key}", action="append")
     return top
 
 
 def _assemble_config(args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then flags; each value parsed by its OPTIONS entry."""
-    command = args.command
-    texts = list(_parse_config_file(args.config).items()) if args.config else []
-    texts += [(key, getattr(args, key)) for key in OPTIONS if getattr(args, key, None) is not None]
+    flags = {key: values for key, values in vars(args).items() if values is not None}
+    command = flags.pop("command")
+    for key, values in flags.items():
+        if len(values) > 1:
+            raise ConfigError(f"{key!r} is set more than once")
+    texts = list(_parse_config_file(flags.pop("config")[0]).items()) if "config" in flags else []
+    texts += [(key, values[0]) for key, values in flags.items()]
     config = {key: default for key, (_, default, commands) in OPTIONS.items() if command in commands}
     for key, text in texts:
         if key not in config:
@@ -490,33 +500,22 @@ def _assemble_config(args: argparse.Namespace) -> dict:
             config[key] = OPTIONS[key][0](text, command)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
-    if config["grid"] is None:
-        raise ConfigError(f"{command} requires --grid")
+    for key, value in config.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"{command} requires --{key}")
     return config
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in REPORTS:
-            return run_report(args.command, _assemble_config(args))
-        if args.command == "verify":
-            code, _ = run_verify_suite({"out": args.out})
-            return code
-        if args.command == "recursion":
-            return run_recursion({"q": args.q, "c": args.c, "n": args.n, "chain": args.chain})
-        if args.command == "hyp":
-            fields = [int(x) for x in args.params.split(",")]
-            if len(fields) != 3:
-                raise ConfigError("hyp --params needs N,m,n")
-            return run_hyp({"params": tuple(fields), "k": args.k, "t": args.t, "moment": args.moment})
+        return COMMANDS[args.command](_assemble_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

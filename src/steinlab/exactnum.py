@@ -108,8 +108,8 @@ def hyp_zero_prob(params: HypergeometricParams) -> Fraction:
 
 def check_tail_bound(params: HypergeometricParams, t: float) -> dict:
     """Exponential tail bound P[H >= gamma + t] <= exp(-t^2/(2 gamma + t))."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must lie in (0, inf)")
     gamma = params.mean
     threshold = gamma + Fraction(t)
     lhs = float(sum(p for k, p in hyp_pmf_vector(params).items() if k >= threshold))

@@ -20,6 +20,7 @@ from scipy.special import ndtr, ndtri
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+KERNEL_TOL = 1e-12  # the kernel's mean-one weight check and its fixed-point iteration
 
 
 def normal_cdf(z: float) -> float:
@@ -158,8 +159,8 @@ class RecursionSpec:
     def __post_init__(self):
         if not 0 < self.q < 1:
             raise ValueError("q must lie in (0, 1)")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must lie in (0, inf)")
 
 
 def recursion_closed_form(spec: RecursionSpec, n: int) -> float:
@@ -189,19 +190,19 @@ class KernelConditionError(ValueError):
     pass
 
 
-def _validate_kernel(kernel: FiniteKernel, tol: float = 1e-12) -> None:
+def _validate_kernel(kernel: FiniteKernel) -> None:
     for s in kernel.states:
         rows = kernel.transitions.get(s, ())
         mean_x = float(sum(Fraction(p) * Fraction(x) for _, x, p in rows))
         if s in kernel.active_states:
-            if abs(mean_x - 1.0) > tol:
+            if abs(mean_x - 1.0) > KERNEL_TOL:
                 raise KernelConditionError(f"E[X] != 1 at nice state {s!r}: {mean_x}")
         else:
             if any(x != 0 for _, x, _ in rows):
                 raise KernelConditionError(f"X not identically 0 off the nice set at {s!r}")
 
 
-def recursion_bound_solve(kernel: FiniteKernel, spec: RecursionSpec, tol: float = 1e-12) -> dict:
+def recursion_bound_solve(kernel: FiniteKernel, spec: RecursionSpec) -> dict:
     """Maximal fixed point of a = q E[X a(Psi)] + c over a finite kernel.
 
     Raises KernelConditionError when the mean-one / vanishing-weight
@@ -219,7 +220,7 @@ def recursion_bound_solve(kernel: FiniteKernel, spec: RecursionSpec, tol: float 
             worst = max(worst, abs(val - a[s]))
             new[s] = val
         a = new
-        if worst <= tol:
+        if worst <= KERNEL_TOL:
             break
     else:
         raise RuntimeError("fixed-point iteration did not converge")

@@ -22,6 +22,13 @@ def run_cli(args, capsys):
     return code, out, err
 
 
+def assert_one_line_error(result, prefix):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(prefix)
+
+
 class TestErReport:
     def test_csv_row_contents(self, capsys, tmp_path):
         out = tmp_path / "er.csv"
@@ -120,6 +127,10 @@ class TestErReport:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error: ")
+
+    def test_repeated_flag_is_config_error(self, capsys):
+        argv = ["er-report", "--grid", "4,2", "--samples", "100", "--samples", "200"]
+        assert_one_line_error(run_cli(argv, capsys), "config error: 'samples' is set more than once\n")
 
     def test_missing_grid(self, capsys):
         code, _, _ = run_cli(["er-report"], capsys)
@@ -240,6 +251,14 @@ class TestVerify:
         payload = json.loads(out)
         assert "kerov_consistency" in payload["failed"]
 
+    def test_bad_out_fails_before_suite(self, capsys, monkeypatch, tmp_path):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("ran the suite before the config was checked")
+
+        monkeypatch.setattr(jack_model, "jack_probability", no_suite)
+        result = run_cli(["verify", "--out", str(tmp_path / "nonexistent" / "v.json")], capsys)
+        assert_one_line_error(result, "config error: out: ")
+
     def test_perturbed_weights_fail_after_clean_run(self, capsys, monkeypatch):
         # exact laws that verify checks against each other are never memoised
         # process-wide: a law cached by the clean run would hide the perturbation
@@ -275,6 +294,19 @@ class TestRecursionCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"config error: {key}: ")
 
+    @pytest.mark.parametrize(
+        "flags, prefix",
+        [(["--q", "abc", "--c", "1"], "config error: q: "),
+         (["--q", "0.5"], "config error: recursion requires --c\n"),
+         (["--q", "0.5", "--c", "1", "--chain", "3", "--chain", "4"],
+          "config error: 'chain' is set more than once\n"),
+         (["--q", "0.5", "--c", "inf", "--n", "2"], "error: c must lie in (0, inf)\n"),
+         (["--q", "0.5", "--c", "nan", "--n", "2"], "error: c must lie in (0, inf)\n")],
+        ids=["q-not-a-number", "c-missing", "chain-repeated", "c-inf", "c-nan"],
+    )
+    def test_bad_input_is_one_line_error(self, capsys, flags, prefix):
+        assert_one_line_error(run_cli(["recursion"] + flags, capsys), prefix)
+
 
 class TestHypCommand:
     def test_query(self, capsys):
@@ -291,6 +323,17 @@ class TestHypCommand:
     def test_bad_params(self, capsys):
         code, _, _ = run_cli(["hyp", "--params", "3,1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, prefix",
+        [(["--params", "3,x,1"], "config error: params: "),
+         (["--params", "3,1,2", "--k", "x"], "config error: k: "),
+         (["--params", "20,5,6", "--t", "inf"], "error: t must lie in (0, inf)\n"),
+         (["--params", "20,5,6", "--t", "1e400"], "error: t must lie in (0, inf)\n")],
+        ids=["params-not-integers", "k-not-an-integer", "t-inf", "t-overflow"],
+    )
+    def test_bad_input_is_one_line_error(self, capsys, flags, prefix):
+        assert_one_line_error(run_cli(["hyp"] + flags, capsys), prefix)
 
 
 class TestConfigFile:
@@ -386,9 +429,9 @@ class TestOptionTable:
         lines = [
             line.strip()
             for line in README.read_text().splitlines()
-            if re.match(r"\s*steinlab (er|jack)-report ", line)
+            if re.match(r"\s*steinlab [a-z-]+ ", line)
         ]
-        assert {shlex.split(line)[1] for line in lines} == {"er-report", "jack-report"}
+        assert {shlex.split(line)[1] for line in lines} == set(cli.COMMANDS)
         for line in lines:
             args = cli._build_parser().parse_args(shlex.split(line)[1:])
             cli._assemble_config(args)

@@ -142,6 +142,11 @@ class TestTailBound:
         with pytest.raises(ValueError):
             ex.check_tail_bound(ex.HypergeometricParams(3, 1, 2), 0.0)
 
+    @pytest.mark.parametrize("t", [math.inf, float("1e400"), math.nan], ids=["inf", "1e400", "nan"])
+    def test_t_must_be_finite(self, t):
+        with pytest.raises(ValueError, match="t must lie in"):
+            ex.check_tail_bound(ex.HypergeometricParams(20, 5, 6), t)
+
 
 class TestMomentBound:
     def test_examples(self):

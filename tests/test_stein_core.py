@@ -121,6 +121,11 @@ class TestRecursion:
         with pytest.raises(ValueError):
             sc.recursion_closed_form(sc.RecursionSpec(0.5, 1.0), 0)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
+    def test_c_must_be_finite(self, c):
+        with pytest.raises(ValueError, match="c must lie in"):
+            sc.RecursionSpec(0.5, c)
+
 
 def _chain_kernel(length, q, rate_base=None):
     states = tuple(range(1, length + 1))
