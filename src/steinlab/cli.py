@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -376,14 +377,20 @@ def run_recursion(config: dict) -> int:
 def chain_kernel(length: int, q: float) -> stein_core.FiniteKernel:
     """Descending chain k -> k-1 with unit weights; state 1 is the base case.
 
-    Rates K (2q)^-k satisfy the growth control for q <= 1/2.
+    Rates K (2q)^-k satisfy the growth control for q <= 1/2; a chain whose
+    rates are not finite and positive floats is refused.
     """
     states = tuple(range(1, length + 1))
     trans = {1: ()}
     for k in range(2, length + 1):
         trans[k] = ((k - 1, 1, Fraction(1)),)
     base = max(1.0 / (1.0 - q) + 2.0, 2.0)
-    rate = {k: base / (2 * q) ** k for k in states}
+    try:
+        rate = {k: base / (2 * q) ** k for k in states}
+    except (ZeroDivisionError, OverflowError):
+        rate = None
+    if rate is None or not all(0 < r < math.inf for r in rate.values()):
+        raise ValueError(f"chain rates K (2q)^-k leave the float range at length {length}")
     return stein_core.FiniteKernel(states, frozenset(range(2, length + 1)), trans, rate)
 
 

@@ -6,15 +6,16 @@ the N = C(n,2) unordered-pair slots; the edges are the slots pi(1..m).  The
 coupling removes a chosen vertex and relocates its incident edges uniformly
 onto free slots, producing a graph on n-1 vertices with the same edge count.
 
-The exact law of Y comes from the binomial moments
-S_j = C(n,j) C(C(n-j,2), m) = C(N,m) E C(Y,j); the exact mean and variance
-come from the short falling-factorial ratios E C(Y,j) = C(n,j) (N-m)_d / (N)_d
-for j <= 2, where d is the number of slots touching j given vertices.
+The exact mean and variance come from the short falling-factorial ratios
+E C(Y,j) = C(n,j) (N-m)_d / (N)_d for j <= 2, where d is the number of slots
+touching j given vertices.  Exact laws come from one edge-placement chain,
+``_edge_chain``, which places edges one at a time, each uniform over the free
+slots: from the empty graph it gives the law of Y, and from the edges a graph
+keeps once vertex v is removed it gives the law of the coupled count Y_v.
 
-Exhaustive checkers integrate over edge sets directly (the permutation only
-matters through the edge set) and over relocation-target subsets (the
-candidate stream only matters through the set of accepted slots); both
-reductions are exercised against the literal constructions in the tests.
+The exhaustive Stein-identity check enumerates edge sets (the permutation
+only matters through the edge set) and reads the law of Y_v from the chain;
+both reductions are exercised against the literal constructions in the tests.
 """
 
 from __future__ import annotations
@@ -110,16 +111,37 @@ def exact_moments(params: ErParams) -> tuple[Fraction, Fraction]:
     return mu, Fraction(s1 + 2 * s2, s0) - mu * mu
 
 
+def _edge_chain(vertices: int, free: int, start: int, steps: int) -> np.ndarray:
+    """Object-int counts of ordered placements of ``steps`` edges, each uniform
+    over the slots still free out of ``free``, by untouched vertices.
+
+    ``count[k]`` placements leave k of the ``start`` untouched vertices (all
+    of whose slots are free) untouched; the counts sum to perm(free, steps).
+    With k untouched after e edges, C(k,2) of the free - e free slots join two
+    of them, k(vertices - k) join one to a touched vertex, and the rest leave
+    k unchanged.
+    """
+    k = np.arange(start + 1, dtype=object)
+    both = k * (k - 1) // 2
+    one = k * (vertices - k)
+    count = np.zeros(start + 1, dtype=object)
+    count[start] = 1
+    for e in range(steps):
+        new = count * (free - e - both - one)
+        new[:-1] += (count * one)[1:]
+        new[:-2] += (count * both)[2:]
+        count = new
+    return count
+
+
 def exact_y_law(params: ErParams) -> DiscreteLaw:
-    """Exact law of the isolated-vertex count: the Taylor shift of sum_j S_j x^j
-    to x - 1, by additions only, has the coefficients C(N,m) P(Y = k)."""
-    n, m = params.n, params.m
-    c = [binomial(n, j) * binomial(binomial(n - j, 2), m) for j in range(n + 1)]
-    total = c[0]
-    for i in range(len(c) - 1):
-        for k in range(len(c) - 2, i - 1, -1):
-            c[k] -= c[k + 1]
-    return law_from_pairs((k, Fraction(ck, total)) for k, ck in enumerate(c))
+    """Exact law of the isolated-vertex count: the edge chain from the empty
+    graph, ``_edge_chain(n, N, n, m)``, over the perm(N, m) ordered placements."""
+    n, m, N = params.n, params.m, params.slots
+    total = math.perm(N, m)
+    return law_from_pairs(
+        (k, Fraction(ck, total)) for k, ck in enumerate(_edge_chain(n, N, n, m))
+    )
 
 
 def exact_w_law(params: ErParams) -> DiscreteLaw:
@@ -217,8 +239,9 @@ def redistribute(graph: ErGraphState, v: int, sigma_v: Iterable[int]) -> Redistr
     ``sigma_v`` is consumed in order; a candidate slot is accepted when it is
     not incident to v and not already an edge.  Deterministic given the graph
     and the candidate sequence.  Returns the accepted slots and b_v = Y - Y_v,
-    where Y_v comes from ``_coupled_isolated``, the one recount of the coupled
-    graph, shared with the exhaustive Stein-identity check.
+    where Y_v, the isolated-vertex count of the coupled graph, is recounted
+    from its edges.  The exhaustive Stein-identity check does not recount: it
+    reads the law of Y_v from the edge chain.
     """
     return _redistribute(graph, degrees(graph), v, sigma_v)
 
@@ -242,10 +265,10 @@ def _redistribute(
         if v not in table[slot - 1] and slot not in edges:
             relocated.add(slot)
 
-    return RedistributionResult(
-        relocated_slots=frozenset(relocated),
-        b_v=deg.count(0) - _coupled_isolated(edges, v, relocated, table, n),
-    )
+    kept = [s for s in edges if v not in table[s - 1]]
+    # v keeps no edge: it is one of the zeros but not a vertex of the coupled graph
+    y_v = _degrees_of_edges(kept + list(relocated), table, n).count(0) - 1
+    return RedistributionResult(relocated_slots=frozenset(relocated), b_v=deg.count(0) - y_v)
 
 
 class DegenerateParamsError(ValueError):
@@ -306,67 +329,59 @@ def _degrees_of_edges(edges: Sequence[int], table, n: int) -> list[int]:
     return deg[1:]
 
 
-def relocation_target_law(edges: frozenset, v: int, params: ErParams):
-    """Uniform law of the accepted-slot set: all d_v-subsets of free slots.
-
-    The candidate stream visits free slots in uniform random order, so the
-    accepted set is a uniform d_v-subset of the slots neither incident to v
-    nor already occupied.
-    """
-    table = pair_table(params.n)
-    d_v = sum(1 for s in edges if v in table[s - 1])
-    allowed = [
-        s for s in range(1, params.slots + 1) if v not in table[s - 1] and s not in edges
-    ]
-    count = binomial(len(allowed), d_v)
-    w = Fraction(1, count)
-    for subset in itertools.combinations(allowed, d_v):
-        yield frozenset(subset), w
-
-
-def _coupled_isolated(edges: frozenset, v: int, relocated: Iterable[int], table, n: int) -> int:
-    """Isolated-vertex count Y_v of the coupled graph on the vertices other than v."""
-    kept = [s for s in edges if v not in table[s - 1]]
-    # v keeps no edge: it is one of the zeros but not a vertex of the coupled graph
-    return _degrees_of_edges(kept + list(relocated), table, n).count(0) - 1
-
-
 def check_stein_identity_exhaustive(params: ErParams, coeffs: Sequence) -> dict:
     """Exact coupling identity E[G(f(Y') - f(Y))] = E[(Y - mu) f(Y)].
 
     Works on the unstandardized count with G = -(n I_V - mu); ``coeffs`` are
     the polynomial coefficients of f, lowest degree first.  Enumerates edge
-    sets, the chosen vertex, and relocation-target subsets with exact
-    weights; reports exact rational equality.
+    sets and the chosen vertex v with exact weights.  Given both, the d = d_v
+    relocated edges are a uniform d-subset of the F = C(n-1,2) - (m - d) free
+    slots, and the z vertices that keep no edge once v is removed (the
+    isolated vertices other than v and the degree-one neighbours of v) start
+    untouched, so Y_v has the law of ``_edge_chain(n - 1, F, z, d)``.
+    Reports exact rational equality.
     """
     mu, s2 = exact_moments(params)
     if s2 == 0:
         return {"skipped": True, "reason": "sigma^2 = 0 (degenerate parameters)"}
-    if params.n > 5:
-        raise ValueError("exhaustive check kept feasible only for n <= 5")
+    if params.n > 6:
+        raise ValueError("exhaustive check kept feasible only for n <= 6")
     coeffs = [Fraction(c) for c in coeffs]
+    n, m = params.n, params.m
 
+    @lru_cache(maxsize=None)
     def f(y):
         return sum(c * Fraction(y) ** k for k, c in enumerate(coeffs))
 
-    table = pair_table(params.n)
-    n = params.n
-    w_edges = Fraction(1, binomial(params.slots, params.m))
+    @lru_cache(maxsize=None)
+    def coupled_mean_f(free, z, d):
+        """E f(Y_v) from the chain's law of Y_v given (G, v)."""
+        count = _edge_chain(n - 1, free, z, d)
+        return sum(ck * f(k) for k, ck in enumerate(count)) / math.perm(free, d)
+
+    table = pair_table(n)
+    slots_without_v = binomial(n - 1, 2)
+    w_edges = Fraction(1, binomial(params.slots, m))
     lhs = Fraction(0)
     rhs = Fraction(0)
     for edges in enumerate_edge_sets(params):
-        edges = frozenset(edges)
         deg = _degrees_of_edges(edges, table, n)
         y = deg.count(0)
         fy = f(y)
         rhs += w_edges * (y - mu) * fy
-        for v in range(1, n + 1):
-            g = mu - n * (1 if deg[v - 1] == 0 else 0)
-            inner = Fraction(0)
-            for relocated, w_sub in relocation_target_law(edges, v, params):
-                y_v = _coupled_isolated(edges, v, relocated, table, n)
-                inner += w_sub * (f(y_v) - fy)
-            lhs += w_edges * Fraction(1, n) * g * inner
+        lone = [0] * n  # degree-one neighbours of each vertex
+        for s in edges:
+            a, b = table[s - 1]
+            lone[a - 1] += deg[b - 1] == 1
+            lone[b - 1] += deg[a - 1] == 1
+        inner = Fraction(0)
+        for v in range(n):
+            d = deg[v]
+            isolated = d == 0
+            z = y - isolated + lone[v]
+            g = mu - n * isolated
+            inner += g * (coupled_mean_f(slots_without_v - (m - d), z, d) - fy)
+        lhs += w_edges * Fraction(1, n) * inner
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "skipped": False}
 
 

@@ -161,6 +161,8 @@ class RecursionSpec:
             raise ValueError("q must lie in (0, 1)")
         if not 0 < self.c < math.inf:
             raise ValueError("c must lie in (0, inf)")
+        if not self.c / (1.0 - self.q) < math.inf:
+            raise ValueError("c/(1-q) must be finite")
 
 
 def recursion_closed_form(spec: RecursionSpec, n: int) -> float:

@@ -4,6 +4,9 @@ Each oracle recomputes its target quantity by direct enumeration or
 recurrence, along a different route than the implementation under test.
 Only ``loop_jack_batch`` imports steinlab internals: it replays the scalar
 growth loop, one chain at a time, that the vectorized batch sweep must equal.
+The exact ER laws have two references here, on routes the edge chain does
+not take: the Taylor shift of the binomial moments for the law of Y, and the
+enumeration of relocation-target subsets for the law of Y_v given (G, v).
 """
 
 from __future__ import annotations
@@ -126,6 +129,57 @@ def brute_er_isolated_law(n: int, m: int) -> dict[int, Fraction]:
         y = n - len(touched)
         acc[y] = acc.get(y, 0) + 1
     return {y: Fraction(c, total) for y, c in acc.items()}
+
+
+def taylor_shift_y_law(n: int, m: int) -> dict[int, Fraction]:
+    """Law of the isolated-vertex count: the Taylor shift of sum_j S_j x^j to
+    x - 1, by additions only, has the coefficients C(N,m) P(Y = k)."""
+    c = [math.comb(n, j) * math.comb(math.comb(n - j, 2), m) for j in range(n + 1)]
+    total = c[0]
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] -= c[k + 1]
+    return {k: Fraction(ck, total) for k, ck in enumerate(c) if ck}
+
+
+def relocation_target_law(n: int, edge_slots, v: int):
+    """Uniform law of the accepted-slot set: all d_v-subsets of free slots.
+
+    The candidate stream visits free slots in uniform random order, so the
+    accepted set is a uniform d_v-subset of the slots neither incident to v
+    nor already occupied.  Yields (subset, probability) pairs.
+    """
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    d_v = sum(1 for s in edge_slots if v in pairs[s - 1])
+    allowed = [
+        s for s in range(1, len(pairs) + 1) if v not in pairs[s - 1] and s not in edge_slots
+    ]
+    w = Fraction(1, math.comb(len(allowed), d_v))
+    for subset in itertools.combinations(allowed, d_v):
+        yield frozenset(subset), w
+
+
+def subset_stein_identity(n: int, m: int, coeffs) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of E[G(f(Y') - f(Y))] = E[(Y - mu) f(Y)] with G = mu - n I_V,
+    by enumerating edge sets, the chosen vertex and relocation-target subsets."""
+
+    def f(y):
+        return sum(Fraction(c) * y**k for k, c in enumerate(coeffs))
+
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    mu, _ = brute_er_moments(n, m)
+    w_edges = Fraction(1, math.comb(len(pairs), m))
+    lhs = rhs = Fraction(0)
+    for edges in itertools.combinations(range(1, len(pairs) + 1), m):
+        touched = {w for s in edges for w in pairs[s - 1]}
+        y = n - len(touched)
+        rhs += w_edges * (y - mu) * f(y)
+        for v in range(1, n + 1):
+            g = mu - n * (v not in touched)
+            for relocated, w_sub in relocation_target_law(n, edges, v):
+                y_v = brute_coupled_isolated(n, edges, v, relocated)
+                lhs += w_edges * Fraction(1, n) * w_sub * g * (f(y_v) - f(y))
+    return lhs, rhs
 
 
 def brute_coupled_isolated(n: int, edge_slots, v: int, relocated_slots) -> int:

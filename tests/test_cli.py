@@ -301,8 +301,14 @@ class TestRecursionCommand:
          (["--q", "0.5", "--c", "1", "--chain", "3", "--chain", "4"],
           "config error: 'chain' is set more than once\n"),
          (["--q", "0.5", "--c", "inf", "--n", "2"], "error: c must lie in (0, inf)\n"),
-         (["--q", "0.5", "--c", "nan", "--n", "2"], "error: c must lie in (0, inf)\n")],
-        ids=["q-not-a-number", "c-missing", "chain-repeated", "c-inf", "c-nan"],
+         (["--q", "0.5", "--c", "nan", "--n", "2"], "error: c must lie in (0, inf)\n"),
+         (["--q", "0.5", "--c", "1e308", "--n", "3"], "error: c/(1-q) must be finite\n"),
+         (["--q", "0.1", "--c", "1", "--chain", "450"], "error: chain rates "),
+         (["--q", "0.1", "--c", "1", "--chain", "1000"], "error: chain rates "),
+         (["--q", "0.9", "--c", "1", "--chain", "3000"], "error: chain rates ")],
+        ids=["q-not-a-number", "c-missing", "chain-repeated", "c-inf", "c-nan",
+             "limit-overflow", "chain-rate-infinite", "chain-rate-underflow",
+             "chain-rate-overflow"],
     )
     def test_bad_input_is_one_line_error(self, capsys, flags, prefix):
         assert_one_line_error(run_cli(["recursion"] + flags, capsys), prefix)

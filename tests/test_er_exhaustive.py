@@ -1,10 +1,14 @@
 """Exact coupling-identity checks over full state enumerations."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from steinlab import er_model as er
+
+from oracles import brute_coupled_isolated, relocation_target_law, subset_stein_identity
 
 
 class TestSteinIdentity:
@@ -21,6 +25,14 @@ class TestSteinIdentity:
         assert rep["lhs"] == Fraction(4, 25)
         _, s2 = er.exact_moments(er.ErParams(4, 2))
         assert rep["lhs"] == s2
+        rep = er.check_stein_identity_exhaustive(er.ErParams(6, 7), [0, 1])
+        assert rep["equal"] and rep["lhs"] == er.exact_moments(er.ErParams(6, 7))[1]
+
+    @pytest.mark.parametrize("nm", [(4, 2), (5, 3)])
+    def test_sides_equal_subset_enumeration(self, nm):
+        coeffs = [1, -2, 0, 1]
+        rep = er.check_stein_identity_exhaustive(er.ErParams(*nm), coeffs)
+        assert (rep["lhs"], rep["rhs"]) == subset_stein_identity(*nm, coeffs)
 
     def test_degenerate_skipped(self):
         rep = er.check_stein_identity_exhaustive(er.ErParams(3, 1), [0, 1])
@@ -53,11 +65,36 @@ class TestSteinIdentity:
             rhs += w_edges * w * w**2
             for v in range(1, 5):
                 g = -(4 / sigma) * ((1 if deg[v - 1] == 0 else 0) - mu_f / 4)
-                for relocated, w_sub in er.relocation_target_law(edges, v, params):
-                    y_v = er._coupled_isolated(edges, v, relocated, table, 4)
+                for relocated, w_sub in relocation_target_law(4, edges, v):
+                    y_v = brute_coupled_isolated(4, edges, v, relocated)
                     w_prime = (y_v - mu_f) / sigma
                     lhs += w_edges * 0.25 * float(w_sub) * g * (w_prime**2 - w**2)
         assert abs(lhs - rhs) < 1e-12
+
+
+class TestCoupledLaw:
+    def test_chain_equals_relocation_subsets(self):
+        # the law of Y_v given (G, v) by the edge chain from the z vertices that
+        # keep no edge once v is removed, against a recount of every subset
+        for n in range(3, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for m in range(1, math.comb(n - 1, 2) + 1):
+                for edges in itertools.combinations(range(1, len(pairs) + 1), m):
+                    for v in range(1, n + 1):
+                        kept = [pairs[s - 1] for s in edges if v not in pairs[s - 1]]
+                        touched = {w for e in kept for w in e}
+                        z = n - 1 - len(touched)
+                        d = m - len(kept)
+                        free = math.comb(n - 1, 2) - len(kept)
+                        count = er._edge_chain(n - 1, free, z, d)
+                        total = math.perm(free, d)
+                        assert sum(count) == total
+                        chain = {k: Fraction(c, total) for k, c in enumerate(count) if c}
+                        subsets: dict = {}
+                        for relocated, w_sub in relocation_target_law(n, edges, v):
+                            y_v = brute_coupled_isolated(n, edges, v, relocated)
+                            subsets[y_v] = subsets.get(y_v, 0) + w_sub
+                        assert chain == subsets, (n, edges, v)
 
 
 class TestExhaustiveGDIdentity:
@@ -78,7 +115,7 @@ class TestExhaustiveGDIdentity:
             y = sum(1 for d in deg if d == 0)
             for v in range(1, 5):
                 g = mu - 4 * (1 if deg[v - 1] == 0 else 0)
-                for relocated, w_sub in er.relocation_target_law(edges, v, params):
-                    y_v = er._coupled_isolated(edges, v, relocated, table, 4)
+                for relocated, w_sub in relocation_target_law(4, edges, v):
+                    y_v = brute_coupled_isolated(4, edges, v, relocated)
                     total += w_edges * Fraction(1, 4) * w_sub * g * (y_v - y)
         assert total / s2 == 1

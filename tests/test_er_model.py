@@ -21,7 +21,9 @@ from oracles import (
     binomial_table_negative_correlation,
     brute_er_moments,
     edge_index,
+    relocation_target_law,
     slot_to_pair,
+    taylor_shift_y_law,
 )
 
 
@@ -226,6 +228,11 @@ class TestExactMoments:
                     law = er.exact_y_law(er.ErParams(n, m))
                     assert dict(law.atoms) == brute_er_isolated_law(n, m)
 
+    def test_exact_y_law_equals_taylor_shift(self):
+        points = [(n, m) for n in range(3, 9) for m in range(1, ex.binomial(n, 2))]
+        for n, m in points + [(30, 40), (100, 100)]:
+            assert dict(er.exact_y_law(er.ErParams(n, m)).atoms) == taylor_shift_y_law(n, m)
+
 
 class TestAsymptoticsAndRate:
     def test_approximation_close_in_sparse_regime(self):
@@ -332,7 +339,7 @@ class TestRedistribution:
         for sigma in itertools.permutations(range(1, 7)):
             res = er.redistribute(g, 2, sigma)
             counts[res.relocated_slots] = counts.get(res.relocated_slots, 0) + 1
-        law = dict(er.relocation_target_law(frozenset(g.edge_slots()), 2, g.params))
+        law = dict(relocation_target_law(4, g.edge_slots(), 2))
         assert set(counts) == set(law)
         total = sum(counts.values())
         for subset, c in counts.items():
@@ -345,7 +352,7 @@ class TestRedistribution:
         w_edges = Fraction(1, 15)
         for edges in er.enumerate_edge_sets(params):
             edges = frozenset(edges)
-            for relocated, w_sub in er.relocation_target_law(edges, 1, params):
+            for relocated, w_sub in relocation_target_law(4, edges, 1):
                 kept = [s for s in edges if 1 not in table[s - 1]]
                 key = frozenset(
                     frozenset(table[s - 1]) for s in itertools.chain(kept, relocated)

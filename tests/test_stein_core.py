@@ -118,6 +118,9 @@ class TestRecursion:
             sc.RecursionSpec(1.0, 1.0)
         with pytest.raises(ValueError):
             sc.RecursionSpec(0.5, 0.0)
+        sc.RecursionSpec(0.5, 1e307)
+        with pytest.raises(ValueError, match=r"c/\(1-q\) must be finite"):
+            sc.RecursionSpec(0.5, 1e308)
         with pytest.raises(ValueError):
             sc.recursion_closed_form(sc.RecursionSpec(0.5, 1.0), 0)
 
