@@ -11,7 +11,8 @@ Subcommands::
 Every option of every command is declared once, in ``OPTIONS``; a report's
 ``--config`` key=value file takes the same keys as the flags, which override it.
 An unknown or repeated key, a missing required option, or a value out of
-range is a configuration error whether it comes from the file or from a flag.
+range is a configuration error whether it comes from the file or from a flag;
+so is every argument the parser rejects.
 CSV output starts with a ``# schema=1`` comment line; the JSON mirror carries
 the same rows.  Exit codes: 0 success, 1 check failure, 2 configuration
 error.  The master seed is split per (task, grid index), so results do not
@@ -248,108 +249,111 @@ def run_report(command: str, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _er_moments_enumerated(n, m) -> bool:
+    params = er_model.ErParams(n, m)
+    law = er_model.exact_y_law(params)
+    mu, s2 = er_model.exact_moments(params)
+    return law.moment(1) == mu and law.moment(2) - mu * mu == s2
+
+
+def _hypergeometric_checks(N, m, n) -> bool:
+    p = exactnum.HypergeometricParams(N, m, n)
+    return (
+        sum(exactnum.hyp_pmf_vector(p).values()) == 1
+        and exactnum.hyp_zero_prob(p) == exactnum.hyp_pmf(p, 0)
+        and exactnum.check_zero_prob_sandwich(p)["holds"]
+        and (not (m and n) or (exactnum.check_tail_bound(p, 1.0)["holds"]
+                               and exactnum.check_moment_bound(p, 2)["holds"]))
+    )
+
+
+def _negative_correlation(n, m) -> bool:
+    rep = er_model.check_negative_correlation(er_model.ErParams(n, m))
+    return rep["holds"] and rep["variance_caps"]
+
+
+def _verify_families() -> dict:
+    """Family name -> (points, check(*point)), in run order.
+
+    Built per run; the checks look library functions up through their modules
+    at call time, so a patched module function is the one checked.
+    """
+    alphas = [Fraction(1, 2), Fraction(1), Fraction(2)]
+    er42 = er_model.ErParams(4, 2)
+    return {
+        "jack_normalization": (
+            [(n, a) for n in range(1, 7) for a in alphas],
+            lambda n, a: sum(jack_model.jack_probability(p, a)
+                             for p in jack_model.enumerate_partitions(n)) == 1,
+        ),
+        "kerov_consistency": (
+            [(n, a) for n in range(2, 7) for a in alphas],
+            lambda n, a: all(prob == jack_model.jack_probability(parts, a)
+                             for parts, prob in jack_model.chain_law(n, a).items()),
+        ),
+        "conditional_t_moments": (
+            [(p, a, n) for n in range(2, 7) for a in alphas
+             for p in jack_model.enumerate_partitions(n - 1)],
+            lambda p, a, n: jack_model.conditional_t_moments(p, a, n) == (0, Fraction(2, n)),
+        ),
+        "zero_bias_identity": (
+            [(n, a, [0, 1, 1, 1]) for n in range(2, 6) for a in alphas],
+            lambda n, a, f: jack_model.check_zero_bias_identity(n, a, f)["exact_equal"],
+        ),
+        "jack_moments": (
+            [(n, a) for n in (2, 6, 8) for a in alphas],
+            lambda n, a: jack_model.check_jack_moments(n, a)["holds"],
+        ),
+        "stein_identity_er": (
+            [(er42, [0, 1]), (er42, [0, 0, 1])],
+            lambda g, f: er_model.check_stein_identity_exhaustive(g, f)["equal"],
+        ),
+        "er_moments_enumeration": ([(4, 1), (4, 2), (4, 3), (5, 3)], _er_moments_enumerated),
+        "hypergeometric_grid": (
+            [(N, m, n) for N in range(4, 41, 6)
+             for m in range(0, N // 2 + 1, max(N // 6, 1))
+             for n in range(0, N // 2 + 1, max(N // 6, 1))],
+            _hypergeometric_checks,
+        ),
+        "exp_remainder_grid": (
+            [(10.0 ** (e / 4.0),) for e in range(-24, 13)],
+            lambda x: exactnum.check_exp_remainder_envelope(x)["holds"],
+        ),
+        "neg_correlation_grid": (
+            [(n, m) for n in range(3, 41)
+             for m in range(1, exactnum.binomial(n, 2), max(exactnum.binomial(n, 2) // 8, 1))],
+            _negative_correlation,
+        ),
+        "moment_sandwich_grid": (
+            [(n, m) for n in range(6, 101, 7) for m in {1, n // 2, n, 2 * n, int(n**1.5)}
+             if 0 < m < exactnum.binomial(n, 2) and m <= n * n / 4 - 1.5 * n],
+            lambda n, m: all(er_model.check_moment_sandwich(er_model.ErParams(n, m)).values()),
+        ),
+        "recursion_closed_form": (
+            [(1, 1.0), (4, 1.875)],
+            lambda n, a_n: abs(
+                stein_core.recursion_closed_form(stein_core.RecursionSpec(0.5, 1.0), n) - a_n
+            ) < 1e-14,
+        ),
+        "efron_stein": (
+            [(lambda pi, sig: 1 if pi[0] == 1 else 0, 3, 1)],
+            lambda h, N, n_sigma: stein_core.check_efron_stein(h, N, n_sigma)["holds"],
+        ),
+        "kolmogorov_quantile_grid": (
+            [(512,)],
+            lambda k: abs(stein_core.empirical_kolmogorov(
+                stein_core.normal_ppf((np.arange(1, k + 1) - 0.5) / k)
+            )["delta_hat"] - 1.0 / (2 * k)) < 1e-12,
+        ),
+    }
+
+
 def run_verify_suite(config: dict) -> int:
     """Exact checks over the fixed verification grid; deterministic."""
-    results: dict[str, bool] = {}
-
-    alphas = [Fraction(1, 2), Fraction(1), Fraction(2)]
-
-    ok = True
-    for n in range(1, 7):
-        for alpha in alphas:
-            total = sum(
-                jack_model.jack_probability(p, alpha) for p in jack_model.enumerate_partitions(n)
-            )
-            ok = ok and total == 1
-    results["jack_normalization"] = ok
-
-    ok = True
-    for n in range(2, 7):
-        for alpha in alphas:
-            law = jack_model.chain_law(n, alpha)
-            for parts, prob in law.items():
-                ok = ok and prob == jack_model.jack_probability(parts, alpha)
-    results["kerov_consistency"] = ok
-
-    ok = True
-    for n in range(2, 7):
-        for alpha in alphas:
-            for parts in jack_model.enumerate_partitions(n - 1) if n > 1 else []:
-                m1, m2 = jack_model.conditional_t_moments(parts, alpha, n)
-                ok = ok and m1 == 0 and m2 == Fraction(2, n)
-    results["conditional_t_moments"] = ok
-
-    ok = True
-    for n in range(2, 6):
-        for alpha in alphas:
-            rep = jack_model.check_zero_bias_identity(n, alpha, [0, 1, 1, 1])
-            ok = ok and rep["exact_equal"]
-    results["zero_bias_identity"] = ok
-
-    results["jack_moments"] = all(
-        jack_model.check_jack_moments(n, alpha)["holds"] for n in (2, 6, 8) for alpha in alphas
-    )
-
-    er42 = er_model.ErParams(4, 2)
-    results["stein_identity_er"] = all(
-        er_model.check_stein_identity_exhaustive(er42, coeffs)["equal"]
-        for coeffs in ([0, 1], [0, 0, 1])
-    )
-
-    ok = True
-    for n, m in [(4, 1), (4, 2), (4, 3), (5, 3)]:
-        params = er_model.ErParams(n, m)
-        law = er_model.exact_y_law(params)
-        mu, s2 = er_model.exact_moments(params)
-        ok = ok and law.moment(1) == mu and law.moment(2) - mu * mu == s2
-    results["er_moments_enumeration"] = ok
-
-    ok = True
-    for N in range(4, 41, 6):
-        for m in range(0, N // 2 + 1, max(N // 6, 1)):
-            for n in range(0, N // 2 + 1, max(N // 6, 1)):
-                p = exactnum.HypergeometricParams(N, m, n)
-                ok = ok and sum(exactnum.hyp_pmf_vector(p).values()) == 1
-                ok = ok and exactnum.hyp_zero_prob(p) == exactnum.hyp_pmf(p, 0)
-                ok = ok and exactnum.check_zero_prob_sandwich(p)["holds"]
-                if m and n:
-                    ok = ok and exactnum.check_tail_bound(p, 1.0)["holds"]
-                    ok = ok and exactnum.check_moment_bound(p, 2)["holds"]
-    results["hypergeometric_grid"] = ok
-
-    grid = [10.0 ** (e / 4.0) for e in range(-24, 13)]
-    results["exp_remainder_grid"] = all(exactnum.check_exp_remainder_envelope(x)["holds"] for x in grid)
-
-    ok = True
-    for n in range(3, 41):
-        for m in range(1, exactnum.binomial(n, 2), max(exactnum.binomial(n, 2) // 8, 1)):
-            rep = er_model.check_negative_correlation(er_model.ErParams(n, m))
-            ok = ok and rep["holds"] and rep["variance_caps"]
-    results["neg_correlation_grid"] = ok
-
-    ok = True
-    for n in range(6, 101, 7):
-        for m in {1, n // 2, n, 2 * n, int(n**1.5)}:
-            if 0 < m < exactnum.binomial(n, 2) and m <= n * n / 4 - 1.5 * n:
-                rep = er_model.check_moment_sandwich(er_model.ErParams(n, m))
-                ok = ok and rep["holds_mu"] and rep["holds_sigma"]
-    results["moment_sandwich_grid"] = ok
-
-    spec = stein_core.RecursionSpec(0.5, 1.0)
-    results["recursion_closed_form"] = (
-        abs(stein_core.recursion_closed_form(spec, 1) - 1.0) < 1e-14
-        and abs(stein_core.recursion_closed_form(spec, 4) - 1.875) < 1e-14
-    )
-
-    results["efron_stein"] = stein_core.check_efron_stein(
-        lambda pi, sig: 1 if pi[0] == 1 else 0, 3, 1
-    )["holds"]
-
-    k = 512
-    grid_samples = stein_core.normal_ppf((np.arange(1, k + 1) - 0.5) / k)
-    rep = stein_core.empirical_kolmogorov(grid_samples)
-    results["kolmogorov_quantile_grid"] = abs(rep["delta_hat"] - 1.0 / (2 * k)) < 1e-12
-
+    results = {
+        name: all(check(*point) for point in points)
+        for name, (points, check) in _verify_families().items()
+    }
     failed = sorted(name for name, passed in results.items() if not passed)
     payload = {"schema": SCHEMA, "results": results, "failed": failed}
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", config["out"])
@@ -476,8 +480,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument the parser rejects is a configuration error, like any other."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="steinlab", description=__doc__)
+    top = _Parser(prog="steinlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         p = sub.add_parser(command)
@@ -514,8 +525,8 @@ def _assemble_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return COMMANDS[args.command](_assemble_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -616,12 +616,6 @@ def rate_and_region(n: int, alpha, epsilon: float) -> dict:
     return {"r": r, "in_region": in_region}
 
 
-def alternative_rate(n: int, alpha) -> float:
-    """(1/sqrt(n) + sqrt(alpha)/n)^-1, the conjectured all-alpha rate."""
-    af = float(Fraction(alpha))
-    return 1.0 / (1.0 / math.sqrt(n) + math.sqrt(af) / n)
-
-
 def d_bar(n: int, alpha, epsilon: float) -> float:
     """Coupling-difference majorant 10 sqrt(alpha)/(n epsilon)."""
     return 10.0 * math.sqrt(float(Fraction(alpha))) / (n * epsilon)
@@ -657,14 +651,12 @@ def kolmogorov_estimate(
     confidence: float = 0.05,
 ) -> dict:
     """Empirical Kolmogorov distance of standardized contents to the normal,
-    with the rate products for both candidate rate functions."""
+    with its product with the rate n/sqrt(alpha)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     alpha = Fraction(alpha)
     batch = sample_jack_batch(n, alpha, rng, samples)
     report = empirical_kolmogorov(batch["w"], confidence=confidence)
-    af = float(alpha)
-    report["delta_times_rate"] = report["delta_hat"] * n / math.sqrt(af)
-    report["delta_times_alt_rate"] = report["delta_hat"] * alternative_rate(n, alpha)
+    report["delta_times_rate"] = report["delta_hat"] * n / math.sqrt(float(alpha))
     report["lambda1_prev"] = batch["lambda1_prev"]
     return report

@@ -250,53 +250,44 @@ def recursion_bound_solve(kernel: FiniteKernel, spec: RecursionSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _all_perms(N: int):
-    return [tuple(p) for p in itertools.permutations(range(1, N + 1))]
-
-
 def check_efron_stein(h: Callable, N: int, n_sigma: int) -> dict:
     """Exhaustive check of the single-coordinate/transposition variance bound.
 
     ``h(pi, sigmas)`` takes a permutation of [N] and a tuple of ``n_sigma``
-    permutations, and may return int or Fraction.  The variance and the
+    permutations, and may return int, Fraction or float.  The variance and the
     right-hand side are computed exactly over the full product space, with
     each transposition tau_j averaged over its uniform target in {j..N}.
+    h is called once per state and held, times the lcm s of its denominators,
+    as an integer table H over (pi, sigma_1, ...).
     """
     if N > 4 or n_sigma > 2:
         raise ValueError("exhaustive enumeration kept feasible only for N <= 4, n_sigma <= 2")
-    perms = _all_perms(N)
-    nper = len(perms)
-    sigma_tuples = list(itertools.product(perms, repeat=n_sigma))
-    states = [(pi, sig) for pi in perms for sig in sigma_tuples]
-    weight = Fraction(1, len(states))
+    perms = list(itertools.permutations(range(1, N + 1)))
+    P = len(perms)
+    sigmas = list(itertools.product(perms, repeat=n_sigma))
+    values = [Fraction(h(pi, sig)) for pi in perms for sig in sigmas]
+    s = math.lcm(*(v.denominator for v in values))
+    H = np.array([v.numerator * (s // v.denominator) for v in values], dtype=object)
+    H = H.reshape((P,) * (1 + n_sigma))
+    S = H.size
+    sum_sq = (H * H).sum()
+    var = Fraction(S * sum_sq - H.sum() ** 2, (S * s) ** 2)
 
-    hval = {st: Fraction(h(*st)) for st in states}
-    mean = sum(hval[st] * weight for st in states)
-    var = sum((hval[st] - mean) ** 2 * weight for st in states)
-
-    # sum over coordinates of Sigma: replace sigma_i by an independent copy
+    # sigma_i replaced by a copy: sum_{a,b} (x_a - x_b)^2 = 2P sum x^2 - 2 (sum x)^2 along
+    # axis i; a Fraction even with no sigma, where an int 0 would make the bound a float
     first = Fraction(0)
-    for i in range(n_sigma):
-        acc = Fraction(0)
-        for pi, sig in states:
-            base = hval[(pi, sig)]
-            for rep in perms:
-                other = sig[:i] + (rep,) + sig[i + 1 :]
-                acc += (base - hval[(pi, other)]) ** 2
-        first += acc * weight / nper
+    for i in range(1, 1 + n_sigma):
+        first += Fraction(2 * P * sum_sq - 2 * (H.sum(axis=i) ** 2).sum(), S * P * s * s)
 
-    # sum over positions j: compose pi with tau_j, averaged over its target;
-    # pi tau_j is pi with positions j and target exchanged
+    # pi tau_j is pi with positions j and target exchanged: one reindexing of axis 0
+    index = {pi: k for k, pi in enumerate(perms)}
     second = Fraction(0)
     for j in range(1, N):
-        acc = Fraction(0)
-        for pi, sig in states:
-            base = hval[(pi, sig)]
-            for target in range(j, N + 1):
-                moved = list(pi)
-                moved[j - 1], moved[target - 1] = pi[target - 1], pi[j - 1]
-                acc += Fraction((base - hval[(tuple(moved), sig)]) ** 2, N - j + 1)
-        second += acc * weight
+        for target in range(j, N + 1):
+            order = list(range(N))
+            order[j - 1], order[target - 1] = target - 1, j - 1
+            D = H - H[[index[tuple(pi[o] for o in order)] for pi in perms]]
+            second += Fraction((D * D).sum(), (N - j + 1) * S * s * s)
 
     bound = first / 2 + second / 2
     return {"var": var, "bound": bound, "holds": var <= bound}

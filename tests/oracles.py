@@ -7,6 +7,8 @@ growth loop, one chain at a time, that the vectorized batch sweep must equal.
 The exact ER laws have two references here, on routes the edge chain does
 not take: the Taylor shift of the binomial moments for the law of Y, and the
 enumeration of relocation-target subsets for the law of Y_v given (G, v).
+``loop_efron_stein`` is the exhaustive Efron-Stein check as three Fraction
+loops over the states, the reference for the integer-table check.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -306,3 +309,55 @@ def loop_jack_batch(n: int, alpha, rng, size: int) -> dict:
         w[i] = y / scale
         lam1_prev[i] = runs[0][0] - (boxes[-1][0] == 0)  # first row before the last box
     return {"w": w, "lambda1_prev": lam1_prev}
+
+
+def _all_perms(N: int):
+    return [tuple(p) for p in itertools.permutations(range(1, N + 1))]
+
+
+def loop_efron_stein(h: Callable, N: int, n_sigma: int) -> dict:
+    """Exhaustive check of the single-coordinate/transposition variance bound.
+
+    ``h(pi, sigmas)`` takes a permutation of [N] and a tuple of ``n_sigma``
+    permutations, and may return int or Fraction.  The variance and the
+    right-hand side are computed exactly over the full product space, with
+    each transposition tau_j averaged over its uniform target in {j..N}.
+    """
+    if N > 4 or n_sigma > 2:
+        raise ValueError("exhaustive enumeration kept feasible only for N <= 4, n_sigma <= 2")
+    perms = _all_perms(N)
+    nper = len(perms)
+    sigma_tuples = list(itertools.product(perms, repeat=n_sigma))
+    states = [(pi, sig) for pi in perms for sig in sigma_tuples]
+    weight = Fraction(1, len(states))
+
+    hval = {st: Fraction(h(*st)) for st in states}
+    mean = sum(hval[st] * weight for st in states)
+    var = sum((hval[st] - mean) ** 2 * weight for st in states)
+
+    # sum over coordinates of Sigma: replace sigma_i by an independent copy
+    first = Fraction(0)
+    for i in range(n_sigma):
+        acc = Fraction(0)
+        for pi, sig in states:
+            base = hval[(pi, sig)]
+            for rep in perms:
+                other = sig[:i] + (rep,) + sig[i + 1 :]
+                acc += (base - hval[(pi, other)]) ** 2
+        first += acc * weight / nper
+
+    # sum over positions j: compose pi with tau_j, averaged over its target;
+    # pi tau_j is pi with positions j and target exchanged
+    second = Fraction(0)
+    for j in range(1, N):
+        acc = Fraction(0)
+        for pi, sig in states:
+            base = hval[(pi, sig)]
+            for target in range(j, N + 1):
+                moved = list(pi)
+                moved[j - 1], moved[target - 1] = pi[target - 1], pi[j - 1]
+                acc += Fraction((base - hval[(tuple(moved), sig)]) ** 2, N - j + 1)
+        second += acc * weight
+
+    bound = first / 2 + second / 2
+    return {"var": var, "bound": bound, "holds": var <= bound}

@@ -232,6 +232,20 @@ class TestVerify:
         assert payload["failed"] == []
         assert all(payload["results"].values())
 
+    def test_golden_output(self, capsys):
+        families = [
+            "jack_normalization", "kerov_consistency", "conditional_t_moments",
+            "zero_bias_identity", "jack_moments", "stein_identity_er", "er_moments_enumeration",
+            "hypergeometric_grid", "exp_remainder_grid", "neg_correlation_grid",
+            "moment_sandwich_grid", "recursion_closed_form", "efron_stein",
+            "kolmogorov_quantile_grid",
+        ]
+        assert list(cli._verify_families()) == families
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        payload = {"schema": 1, "results": dict.fromkeys(families, True), "failed": []}
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run_cli(["verify"], capsys)
         code2, out2, _ = run_cli(["verify"], capsys)
@@ -424,12 +438,31 @@ class TestOptionTable:
         ids=["er-epsilon", "jack-thresholds", "verify-seed", "verify-config"],
     )
     def test_option_the_command_does_not_take_is_rejected(self, capsys, argv):
+        assert_one_line_error(run_cli(argv, capsys), "config error: unrecognized arguments")
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [(["er-report", "--grid", "10,10", "--bogus", "1"],
+          "config error: unrecognized arguments: --bogus 1\n"),
+         (["er-report", "--grid"], "config error: argument --grid: expected one argument\n"),
+         (["bogus"], "config error: argument command: invalid choice: 'bogus'"),
+         ([], "config error: the following arguments are required: command\n"),
+         (["er-report", "--grid", "-3,1"],
+          "config error: argument --grid: expected one argument\n"),
+         (["hyp", "--params", "-1,0,0"],
+          "config error: argument --params: expected one argument\n")],
+        ids=["unknown-flag", "flag-without-value", "unknown-command", "no-command",
+             "grid-starting-with-dash", "params-starting-with-dash"],
+    )
+    def test_parser_rejection_is_one_line_error(self, capsys, argv, prefix):
+        assert_one_line_error(run_cli(argv, capsys), prefix)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["er-report", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
-        out, err = capsys.readouterr()
-        assert exc.value.code == 2
-        assert out == ""
-        assert "unrecognized arguments" in err
+        assert exc.value.code == 0
+        assert "usage: steinlab" in capsys.readouterr().out
 
     def test_readme_report_lines_parse(self):
         lines = [

@@ -317,7 +317,6 @@ class TestDegeneracyAndRegion:
     def test_diagnostics(self):
         assert jm.d_bar(10, 100, 0.5) == pytest.approx(10 * 10 / (10 * 0.5))
         assert jm.first_row_bound(10, 100) == pytest.approx(4 * math.e)
-        assert jm.alternative_rate(100, 1) == pytest.approx(1 / (0.1 + 0.01))
 
 
 class TestJackMoments:

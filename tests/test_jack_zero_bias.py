@@ -238,9 +238,6 @@ class TestKolmogorovEstimate:
         rng = np.random.default_rng(46)
         rep = jm.kolmogorov_estimate(8, Fraction(3), rng, 500)
         assert rep["delta_times_rate"] == pytest.approx(rep["delta_hat"] * 8 / math.sqrt(3))
-        assert rep["delta_times_alt_rate"] == pytest.approx(
-            rep["delta_hat"] * jm.alternative_rate(8, 3)
-        )
 
     def test_plancherel_scaling_reported(self):
         # delta * sqrt(n) stays bounded at alpha = 1; reported, not asserted

@@ -1,12 +1,24 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import loop_efron_stein
 from scipy.special import ndtr
 
 from steinlab import er_model as er
 from steinlab import stein_core as sc
+
+# h(pi, sigmas) of each value type the Efron-Stein check accepts
+EFRON_STEIN_H = {
+    "int": lambda pi, sig: pi[0] * (sig[0][-1] if sig else 1) + (pi[-1] == 1),
+    "negative": lambda pi, sig: -pi[-1] ** 2 + 2 * sum(s[0] for s in sig),
+    "fraction": lambda pi, sig: Fraction(pi[0], 3) - Fraction(sum(s[-1] * pi[-1] for s in sig), 7),
+    "float": lambda pi, sig: 0.1 * pi[0] + 0.25 * sum(s[0] for s in sig),
+}
 
 
 class TestDiscreteLaw:
@@ -223,3 +235,45 @@ class TestEfronStein:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             sc.check_efron_stein(lambda pi, sig: 0, 5, 1)
+        with pytest.raises(ValueError):
+            sc.check_efron_stein(lambda pi, sig: 0, 3, 3)
+
+    @pytest.mark.parametrize("kind", EFRON_STEIN_H)
+    @pytest.mark.parametrize(
+        ("N", "n_sigma"), [(N, k) for N in (1, 2, 3, 4) for k in (0, 1, 2) if (N, k) != (4, 2)]
+    )
+    def test_equals_loop_oracle(self, kind, N, n_sigma):
+        h = EFRON_STEIN_H[kind]
+        assert sc.check_efron_stein(h, N, n_sigma) == loop_efron_stein(h, N, n_sigma)
+
+    @pytest.mark.slow
+    def test_equals_loop_oracle_largest_space(self):
+        # 24^3 states: the oracle alone takes several seconds
+        h = EFRON_STEIN_H["fraction"]
+        assert sc.check_efron_stein(h, 4, 2) == loop_efron_stein(h, 4, 2)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_loop_oracle_on_random_tables(self, data):
+        N = data.draw(st.integers(1, 3))
+        n_sigma = data.draw(st.integers(0, 2 if N < 3 else 1))
+        P = math.factorial(N)
+        cells = P ** (1 + n_sigma)
+        table = data.draw(st.lists(st.fractions(-5, 5, max_denominator=12),
+                                   min_size=cells, max_size=cells))
+        rank = {pi: k for k, pi in enumerate(itertools.permutations(range(1, N + 1)))}
+
+        def h(pi, sig):
+            k = rank[pi]
+            for s in sig:
+                k = k * P + rank[s]
+            return table[k]
+
+        assert sc.check_efron_stein(h, N, n_sigma) == loop_efron_stein(h, N, n_sigma)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_exact_fractions_without_sigma(self, N):
+        rep = sc.check_efron_stein(lambda pi, sig: pi[0], N, 0)
+        assert type(rep["var"]) is Fraction and type(rep["bound"]) is Fraction
+        assert rep["var"] == Fraction(N * N - 1, 12)
+        assert rep["holds"]
