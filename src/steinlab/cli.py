@@ -34,6 +34,7 @@ from functools import partial
 from itertools import repeat
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it lazily; load it before any run starts
 
 from . import er_model, exactnum, jack_model, stein_core
 

@@ -466,12 +466,13 @@ def _sample_distinct_rows(rng: np.random.Generator, N: int, m: int, rows: int) -
     while True:
         keys = np.sort(out[live] * m + np.arange(m), axis=1)
         slot = keys // m
-        r, c = np.nonzero(slot[:, 1:] == slot[:, :-1])
+        dup = slot[:, 1:] == slot[:, :-1]
+        r, c = np.nonzero(dup)
         if r.size == 0:
             return out
         flat = np.sort(live[r] * m + keys[r, c + 1] % m)
         np.put(out, flat, rng.integers(0, N, size=flat.size))
-        live = live[np.unique(r)]
+        live = live[dup.any(axis=1)]
 
 
 def sample_isolated_counts(params: ErParams, rng: np.random.Generator, size: int) -> np.ndarray:

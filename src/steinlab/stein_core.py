@@ -3,8 +3,9 @@ the exhaustive Efron-Stein check.
 
 Discrete laws carry exact rational probabilities.  The empirical Kolmogorov
 estimator and the normal-distance helpers are float-valued, with the normal
-CDF evaluated through the complementary error function (absolute error below
-1e-15).
+CDF evaluated through the complementary error function ``math.erfc`` (absolute
+error below 1e-15) and its inverse through the standard library's
+``statistics.NormalDist.inv_cdf`` (Wichura's algorithm AS241).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -31,8 +32,17 @@ def normal_pdf(z: float) -> float:
     return INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
-def normal_ppf(p) -> float:
-    return ndtri(p)
+_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
+def normal_ppf(p) -> np.ndarray | np.float64:
+    """Standard normal quantile of each p, in p's shape.
+
+    Every p must lie in the open interval (0, 1); p = 0 or 1 raises
+    ``statistics.StatisticsError`` (a ``ValueError``).
+    """
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are
+    return np.asarray(_inv_cdf(p), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ def empirical_kolmogorov(samples, confidence: float = 0.05) -> dict:
         raise ValueError("need at least 100 samples")
     vals, counts = np.unique(x, return_counts=True)
     cum = np.cumsum(counts) / k
-    cdf_at = ndtr(vals)
+    cdf_at = np.array([normal_cdf(v) for v in vals.tolist()])
     left = np.concatenate(([0.0], cum[:-1]))
     delta_hat = float(np.max(np.maximum(np.abs(cum - cdf_at), np.abs(left - cdf_at))))
     band = math.sqrt(math.log(2.0 / confidence) / (2.0 * k))
@@ -118,7 +128,7 @@ def wasserstein_discrete_vs_normal(law: DiscreteLaw) -> float:
     def seg(a: float, b: float, level: float) -> float:
         # integral of |level - Phi| over [a, b]; split where Phi crosses level
         if 0.0 < level < 1.0:
-            z = float(ndtri(level))
+            z = float(normal_ppf(level))
             if a < z < b:
                 return seg(a, z, level) + seg(z, b, level)
         mid = _int_normal_cdf(a, b)
@@ -142,7 +152,7 @@ def wasserstein_estimate(samples) -> float:
     """Order-statistics estimate of d1 to the standard normal."""
     x = np.sort(np.asarray(samples, dtype=float))
     k = x.size
-    q = ndtri((np.arange(1, k + 1) - 0.5) / k)
+    q = normal_ppf((np.arange(1, k + 1) - 0.5) / k)
     return float(np.mean(np.abs(x - q)))
 
 

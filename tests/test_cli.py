@@ -485,3 +485,35 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "a_1 = 1.0" in proc.stdout
+
+
+IMPORT_GRAPH_PROBE = """
+import contextlib, io, json, sys
+from fractions import Fraction
+from steinlab import cli, jack_model
+import numpy as np
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["er-report", "--grid", "100,100", "--samples", "1000", "--seed", "1",
+                  "--workers", "1"]),
+        cli.main(["jack-report", "--grid", "16,64", "--samples", "1000", "--seed", "1",
+                  "--workers", "1"]),
+    ]
+jack_model.zero_bias_sample(16, Fraction(64), np.random.default_rng(0))
+print(json.dumps({"scipy": scipy, "codes": codes, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestImportGraph:
+    def test_no_scipy_and_no_import_inside_a_run(self):
+        # a fresh interpreter, so that no other test's imports are counted
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GRAPH_PROBE], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["scipy"] == []
+        assert seen["codes"] == [0, 0]
+        assert seen["added"] == []

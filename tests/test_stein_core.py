@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import loop_efron_stein
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from steinlab import er_model as er
 from steinlab import stein_core as sc
@@ -35,6 +36,37 @@ class TestDiscreteLaw:
     def test_moments(self):
         law = sc.DiscreteLaw(((0, Fraction(1, 2)), (2, Fraction(1, 2))))
         assert law.moment(1) == 1 and law.moment(2) == 2
+
+
+class TestNormalLaw:
+    """scipy's ndtr and ndtri as oracles for the standard-library normal law."""
+
+    def test_cdf_matches_ndtr(self):
+        z = np.linspace(-40, 40, 400_001)
+        cdf = np.array([sc.normal_cdf(v) for v in z.tolist()])
+        assert np.max(np.abs(cdf - ndtr(z))) <= 4.5e-16
+
+    def test_ppf_matches_ndtri(self):
+        p = np.concatenate([
+            np.logspace(-299, -1, 20_000),
+            np.linspace(1e-6, 1 - 1e-6, 20_001),
+            1 - np.logspace(-15, -1, 20_000),
+        ])
+        q = ndtri(p)
+        assert np.max(np.abs(sc.normal_ppf(p) - q) / np.maximum(np.abs(q), 1)) <= 4e-15
+
+    def test_ppf_keeps_the_shape(self):
+        grid = np.array([[0.1, 0.5, 0.9], [0.2, 0.3, 0.4]])
+        assert np.ndim(sc.normal_ppf(0.25)) == 0 and sc.normal_ppf(0.5) == 0.0
+        for p in (grid, grid[0], grid[:, :1], [0.1, 0.5]):
+            q = sc.normal_ppf(p)
+            assert q.shape == np.shape(p) and q.dtype == np.float64
+            assert np.allclose(q, ndtri(p), rtol=0, atol=4e-15)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, [0.5, 1.0]])
+    def test_ppf_rejects_the_endpoints(self, p):
+        with pytest.raises(statistics.StatisticsError):
+            sc.normal_ppf(p)
 
 
 class TestEmpiricalKolmogorov:
