@@ -457,36 +457,101 @@ def _sample_distinct_rows(rng: np.random.Generator, N: int, m: int, rows: int) -
     """(rows, m) array of distinct slot draws, uniform over ordered tuples.
 
     Per-entry rejection, which reproduces sequential draw-until-new sampling:
-    each pass sorts the packed keys slot * m + position of the live rows (those
-    with a duplicate on the previous pass), so a slot's first occurrence sorts
-    first, and redraws its later occurrences in row-major order.
+    each pass redraws, with one ``rng.integers`` call in row-major order,
+    every entry whose slot repeats one at a lower position of its row, and
+    the next pass checks only the rows it redrew.  Pass 1 and passes 3 on
+    sort those rows (``_redraw_repeats``); pass 2 looks up only the entries
+    pass 1 redrew (``_redraw_second_pass``).  The packed sort keys
+    slot * m + position are int32 when N * m <= 2**31 and int64 otherwise.
     """
     out = rng.integers(0, N, size=(rows, m), dtype=np.int64)
-    live = np.arange(rows)
-    while True:
-        keys = np.sort(out[live] * m + np.arange(m), axis=1)
-        slot = keys // m
-        dup = slot[:, 1:] == slot[:, :-1]
-        r, c = np.nonzero(dup)
-        if r.size == 0:
-            return out
-        flat = np.sort(live[r] * m + keys[r, c + 1] % m)
-        np.put(out, flat, rng.integers(0, N, size=flat.size))
-        live = live[dup.any(axis=1)]
+    key_type = np.int32 if N * m <= 2**31 else np.int64
+    keys, slot, flat = _redraw_repeats(rng, out, np.arange(rows), N, key_type)
+    if flat.size:
+        flat = _redraw_second_pass(rng, out, keys, slot, flat, N)
+    while flat.size:
+        live = np.flatnonzero(np.bincount(flat // m))  # the rows just redrawn
+        flat = _redraw_repeats(rng, out, live, N, key_type)[2]
+    return out
+
+
+def _redraw_repeats(rng, out, live, N, key_type):
+    """One sorting pass over the rows ``live`` (sorted) of ``out``.
+
+    Sorts each row's packed keys slot * m + position, so a slot's first
+    occurrence sorts first, and redraws its later occurrences.  Returns the
+    sorted keys, their slots and the redrawn flat indices, in row-major order.
+    """
+    m = out.shape[1]
+    # ``live`` is sorted, so at full size it is every row and needs no gather
+    keys = (out if live.size == out.shape[0] else out[live]).astype(key_type)
+    keys *= m
+    keys += np.arange(m, dtype=key_type)
+    keys.sort(axis=1)
+    slot = keys // m
+    r, c = np.divmod(np.flatnonzero(slot[:, 1:] == slot[:, :-1]), m - 1)
+    flat = np.sort(live[r] * m + keys[r, c + 1] % m)
+    np.put(out, flat, rng.integers(0, N, size=flat.size))
+    return keys, slot, flat
+
+
+def _redraw_second_pass(rng, out, keys, slot, flat, N):
+    """Pass 2, given pass 1's sorted ``keys`` and ``slot`` over every row and
+    the flat indices ``flat`` it redrew; returns the flat indices it redraws.
+
+    The entries pass 1 kept hold distinct slots within a row, so a repeat
+    involves a redrawn entry.  Each redrawn entry looks up row * N + new slot
+    in g, the sorted row * N + slot of pass 1 (int32, built over ``slot`` in
+    place, when rows * N <= 2**31; int64 otherwise).  g still holds the
+    redrawn entries' old slots, but each of those is first held by a kept
+    entry at a lower position, so the first match is the kept entry holding
+    the slot, if any.  Among the redrawn entries sharing a new slot, every
+    one but the lowest position repeats it; the lowest repeats a kept entry
+    at a lower position, or else makes the kept entry at a higher position
+    repeat it, so no index is listed twice.
+    """
+    rows, m = out.shape
+    g = slot if rows * N <= 2**31 else slot.astype(np.int64, copy=False)
+    g += (np.arange(rows, dtype=g.dtype) * N)[:, None]
+    g = g.ravel()
+    q = flat // m * N + out.ravel()[flat]
+    order = np.argsort(q, kind="stable")  # by row and new slot, then position
+    q, flat = q[order].astype(g.dtype), flat[order]
+    idx = np.minimum(np.searchsorted(g, q), g.size - 1)  # a query past g's end misses
+    hit = g[idx] == q
+    gap = keys.ravel()[idx] % m - flat % m  # kept position minus redrawn position
+    later = np.zeros(q.size, dtype=bool)
+    later[1:] = q[1:] == q[:-1]
+    redo = np.sort(np.concatenate([
+        flat[later | (hit & (gap < 0))],  # redrawn entries that repeat a slot
+        (flat + gap)[hit & (gap > 0) & ~later],  # kept entries that now repeat one
+    ]))
+    np.put(out, redo, rng.integers(0, N, size=redo.size))
+    return redo
 
 
 def sample_isolated_counts(params: ErParams, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized draws of the isolated-vertex count, _BATCH_ROWS graphs at a time."""
+    """Vectorized draws of the isolated-vertex count, _BATCH_ROWS graphs at a time.
+
+    Each batch draws its graphs' edge slots with ``_sample_distinct_rows``,
+    marks both endpoints of every edge in one flat (b * n,) bool array at
+    row * n + vertex, and counts the unmarked vertices of each row.
+    """
     n, m, N = params.n, params.m, params.slots
     first, second = np.triu_indices(n, 1)  # 0-based endpoints in pair_table order
     out = np.empty(size, dtype=np.int64)
     for done in range(0, size, _BATCH_ROWS):
         b = min(_BATCH_ROWS, size - done)
         slots = _sample_distinct_rows(rng, N, m, b)
-        touched = np.zeros((b, n), dtype=bool)
-        np.put_along_axis(touched, first[slots], True, axis=1)
-        np.put_along_axis(touched, second[slots], True, axis=1)
-        out[done : done + b] = n - np.count_nonzero(touched, axis=1)
+        base = np.arange(0, b * n, n)[:, None]
+        touched = np.zeros(b * n, dtype=bool)
+        flat = np.empty_like(slots)
+        for ends in (first, second):
+            # "clip" (the slots are in range) lets take write ``flat`` unbuffered
+            np.take(ends, slots, out=flat, mode="clip")
+            flat += base
+            touched[flat] = True
+        out[done : done + b] = n - np.count_nonzero(touched.reshape(b, n), axis=1)
     return out
 
 

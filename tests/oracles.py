@@ -9,6 +9,8 @@ not take: the Taylor shift of the binomial moments for the law of Y, and the
 enumeration of relocation-target subsets for the law of Y_v given (G, v).
 ``loop_efron_stein`` is the exhaustive Efron-Stein check as three Fraction
 loops over the states, the reference for the integer-table check.
+``ScriptedGenerator`` replays fixed draws in place of a random generator, so
+that a test can force a sampler's rare branches.
 """
 
 from __future__ import annotations
@@ -294,6 +296,30 @@ def argsort_distinct_rows(rng, N: int, m: int, rows: int):
         dup = np.zeros_like(out, dtype=bool)
         np.put_along_axis(dup, order, dup_sorted, axis=1)
         out[dup] = rng.integers(0, N, size=int(dup.sum()))
+
+
+class ScriptedGenerator:
+    """Stand-in for ``np.random.Generator`` whose ``integers`` returns queued
+    arrays in order, checking each request's size and range against the next
+    one; ``done`` says whether the whole script was consumed.  A request for
+    no values takes none from the script, as it takes no bits from a real
+    generator."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(d, dtype=np.int64) for d in draws]
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        if np.empty(size, dtype=bool).size == 0:
+            return np.empty(size, dtype=dtype)
+        assert self.draws, f"unscripted draw of size {size}"
+        draw = self.draws.pop(0)
+        assert draw.shape == np.empty(size, dtype=bool).shape, (draw.shape, size)
+        assert ((low <= draw) & (draw < high)).all(), (draw, low, high)
+        return draw.astype(dtype)
+
+    @property
+    def done(self) -> bool:
+        return not self.draws
 
 
 def loop_jack_batch(n: int, alpha, rng, size: int) -> dict:

@@ -13,6 +13,7 @@ from steinlab import exactnum as ex
 from steinlab import stein_core as sc
 
 from oracles import (
+    ScriptedGenerator,
     argsort_distinct_rows,
     b_v_decomposition,
     brute_coupled_isolated,
@@ -90,7 +91,9 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "N, m",
-        [(3, 1), (3, 2), (6, 5), (15, 14), (28, 5), (45, 44), (4950, 100), (79_800, 400)],
+        [(3, 1), (3, 2), (6, 5), (15, 14), (28, 5), (45, 44), (4950, 100), (79_800, 400)]
+        # int64 packed keys (N * m > 2**31), then two collision-dense points
+        + [(7_998_000, 300), (66, 40), (190, 150)],
     )
     def test_distinct_rows_match_argsort_oracle(self, N, m):
         # same draws and same rng stream as stable-argsort rejection over all rows
@@ -100,6 +103,58 @@ class TestSampling:
                 got = er._sample_distinct_rows(rng, N, m, rows)
                 assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, m, rows))
                 assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            # the redrawn position 1 takes slot 5 from the kept position 2
+            [[[0, 0, 5, 7]], [5], [3]],
+            # the redrawn position 2 lands on the slot kept at position 0
+            [[[5, 0, 0, 7]], [5], [3]],
+            # the redrawn positions 1 and 3 land on one new slot
+            [[[0, 0, 1, 1]], [6, 6], [8]],
+            # the redrawn position 2 draws its own old slot
+            [[[0, 2, 0, 3]], [0], [4]],
+            # all four at once, one row each; the last row's pass-2 draw
+            # repeats its old slot again, so a third pass redraws it
+            [
+                [[0, 0, 5, 7], [5, 0, 0, 7], [0, 0, 1, 1], [0, 2, 0, 3]],
+                [5, 5, 6, 6, 0],
+                [3, 3, 8, 0],
+                [4],
+            ],
+        ],
+    )
+    def test_second_pass_cases_match_argsort_oracle(self, script):
+        # each draw's size is checked, so each script forces its pass-2 case
+        rows = len(script[0])
+        rng, ref_rng = ScriptedGenerator(*script), ScriptedGenerator(*script)
+        got = er._sample_distinct_rows(rng, 10, 4, rows)
+        assert np.array_equal(got, argsort_distinct_rows(ref_rng, 10, 4, rows))
+        assert rng.done and ref_rng.done
+
+    def test_second_pass_lookup_past_int32(self):
+        # int32 keys (N * m <= 2**31), but row * N + slot passes 2**31 on the
+        # last row, whose redrawn position 1 draws its own old slot
+        N = 10**9
+        script = [[[1, 2], [3, 4], [N - 1, N - 1]], [N - 1], [5]]
+        rng, ref_rng = ScriptedGenerator(*script), ScriptedGenerator(*script)
+        got = er._sample_distinct_rows(rng, N, 2, 3)
+        assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, 2, 3))
+        assert got[2].tolist() == [N - 1, 5] and rng.done and ref_rng.done
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 60).flatmap(lambda N: st.tuples(st.just(N), st.integers(1, N - 1))),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_distinct_rows_property(self, nm, rows, seed):
+        N, m = nm
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = er._sample_distinct_rows(rng, N, m, rows)
+        assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, m, rows))
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
     def test_isolated_count_chi2_against_exact_law(self):
         # 105 000 draws, so the last batch is a partial one; the smallest
