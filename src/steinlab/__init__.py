@@ -11,7 +11,7 @@ from .exactnum import (
     phi,
 )
 from .er_model import ErParams, exact_moments, rate, sample_graph
-from .jack_model import JackParams, jack_probability, kerov_sample
+from .jack_model import JackParams, content_sum, jack_probability, kerov_sample
 from .stein_core import DiscreteLaw, RecursionSpec, empirical_kolmogorov
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "rate",
     "sample_graph",
     "JackParams",
+    "content_sum",
     "jack_probability",
     "kerov_sample",
     "DiscreteLaw",

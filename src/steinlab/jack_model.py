@@ -8,19 +8,19 @@ the removable boxes plus alpha - 1,
 
     p_k = prod_i (x_k - y_i) / prod_{j != k} (x_k - x_j).
 
-``_corner_law`` evaluates it over a run-length encoding of the partition; it
-is exact for a Fraction alpha and serves the one-chain samplers with a float
-alpha.  The batch sampler's ``_sweep`` is its vectorized twin: it grows a
+``_corner_law`` evaluates it over a run-length encoding of the partition.  Its
+exact path runs in integers scaled by b, for alpha = a/b in lowest terms:
+b times every content is an integer, and each probability is one Fraction of
+two integer products.  Contents and content sums stay scaled integers until an
+exact value is returned.  With a float alpha and b = 1 it serves the one-chain
+samplers.  The batch sampler's ``_sweep`` is its vectorized twin: it grows a
 whole batch of chains one box per numpy step, on the same run-length
 encoding held in zero-padded int64 arrays, and multiplies the same factors in
 the same order, so its draws equal the one-chain loop's.  Both pick a corner
 by inverse CDF against the plain running sum of the float weights.  The
 zero-bias pair law is one ``_pair_weights``: the sampler draws from it in
-floats, the exact identity check reads it exactly.
-
-The deformation parameter alpha is carried as an exact Fraction wherever a
-probability or content is produced; the irrational scale sqrt(alpha C(n,2))
-enters only at the final standardization.
+floats, the exact identity check reads it on scaled contents.  The irrational
+scale sqrt(alpha C(n,2)) enters only at the final standardization.
 """
 
 from __future__ import annotations
@@ -53,15 +53,30 @@ class JackParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        object.__setattr__(self, "alpha", Fraction(*_alpha_ratio(self.alpha)))
         try:  # the samplers grow partitions with float(alpha)
             as_float = float(self.alpha)
         except OverflowError:
             as_float = math.inf
         if not 0 < as_float < math.inf:
             raise ValueError("alpha must be a nonzero finite float")
+
+
+def _alpha_ratio(alpha) -> tuple[int, int]:
+    """(a, b) with alpha = a/b in lowest terms and b > 0; ValueError unless
+    alpha > 0.  An int or Fraction is read without building a new Fraction."""
+    ratio = alpha if isinstance(alpha, (int, Fraction)) else Fraction(alpha)
+    a, b = int(ratio.numerator), int(ratio.denominator)
+    if a <= 0:
+        raise ValueError("alpha must be positive")
+    return a, b
+
+
+def _alpha_float(alpha) -> float:
+    """float(alpha) after the check of ``_alpha_ratio``."""
+    a, b = _alpha_ratio(alpha)
+    return a / b
+
 
 def _validate_partition(parts: Sequence[int]) -> tuple:
     parts = tuple(int(p) for p in parts)
@@ -101,7 +116,7 @@ def jack_probability(parts: Sequence[int], alpha) -> Fraction:
     prod (alpha arm + leg + 1) (alpha arm + leg + alpha); for alpha = a/b, b times
     each factor is an integer, so this is (ab)^n n! over an integer product."""
     parts = _validate_partition(parts)
-    a, b = Fraction(alpha).as_integer_ratio()
+    a, b = _alpha_ratio(alpha)
     conj = conjugate(parts)
     n = sum(parts)
     hooks = 1
@@ -112,14 +127,15 @@ def jack_probability(parts: Sequence[int], alpha) -> Fraction:
     return Fraction((a * b) ** n * math.factorial(n), hooks)
 
 
+def _scaled_content(parts: tuple, a: int, b: int) -> int:
+    """b Y = a sum_i C(lam_i, 2) - b sum_i (i-1) lam_i at alpha = a/b."""
+    return sum(a * (lam * (lam - 1) // 2) - b * i * lam for i, lam in enumerate(parts))
+
+
 def content_sum(parts: Sequence[int], alpha) -> Fraction:
     """Y = sum over boxes of alpha (col-1) - (row-1), exact."""
-    parts = _validate_partition(parts)
-    alpha = Fraction(alpha)
-    return sum(
-        alpha * Fraction(lam * (lam - 1), 2) - (i - 1) * lam
-        for i, lam in enumerate(parts, start=1)
-    )
+    a, b = _alpha_ratio(alpha)
+    return Fraction(_scaled_content(_validate_partition(parts), a, b), b)
 
 
 def content_scale(n: int, alpha) -> float:
@@ -158,24 +174,26 @@ def _parts_to_runs(parts: tuple) -> list[list[int]]:
     return [[v, len(list(g))] for v, g in itertools.groupby(parts)]
 
 
-def _corner_law(runs: list[list[int]], alpha):
-    """(contents, probabilities) of the addable corners, top row first.
+def _corner_law(runs, a, b=1):
+    """(b times the contents, probabilities) of the addable corners, top row first.
 
-    Kerov's interlacing formula over the run-length encoding: with S_t the
-    rows above run t, the addable corner of run t has content
-    x_t = alpha v_t - S_t, the new bottom row x_r = -S_r, and the removable
-    box closing run t gives y_t = alpha v_t - S_{t+1}.  The arithmetic follows
-    the type of ``alpha``: exact for a Fraction, float for a float.
+    Kerov's interlacing formula over the run-length encoding at alpha = a/b:
+    with S_t the rows above run t, the addable corner of run t has scaled
+    content X_t = a v_t - b S_t, the new bottom row X_r = -b S_r, and the
+    removable box closing run t gives Y_t = a v_t - b S_{t+1}.  Both products
+    have r factors, so b cancels.  Integers a, b give one exact Fraction per
+    probability; a float a with b = 1 gives floats.
     """
     x = []
     y = []
-    rows = 0
+    rows = 0  # b times the rows above the current run
     for v, count in runs:
-        av = alpha * v
+        av = a * v
         x.append(av - rows)
-        rows += count
+        rows += b * count
         y.append(av - rows)
-    x.append(alpha * 0 - rows)  # new bottom row; alpha * 0 keeps alpha's number type
+    x.append(a * 0 - rows)  # new bottom row; a * 0 keeps a's number type
+    exact = isinstance(a, int)
     probs = []
     for k, xk in enumerate(x):
         num = den = 1
@@ -184,30 +202,37 @@ def _corner_law(runs: list[list[int]], alpha):
         for j, xj in enumerate(x):
             if j != k:
                 den *= xk - xj
-        probs.append(num / den)
+        probs.append(Fraction(num, den) if exact else num / den)
     return x, probs
 
 
 def kerov_transition_probs(parts: Sequence[int], alpha) -> CornerDistribution:
     """Exact one-step growth law from a partition."""
     parts = _validate_partition(parts)
-    contents, probs = _corner_law(_parts_to_runs(parts), Fraction(alpha))
-    return CornerDistribution(tuple(addable_corners(parts)), tuple(contents), tuple(probs))
+    a, b = _alpha_ratio(alpha)
+    xs, probs = _corner_law(_parts_to_runs(parts), a, b)
+    contents = tuple(Fraction(x, b) for x in xs)
+    return CornerDistribution(tuple(addable_corners(parts)), contents, tuple(probs))
 
 
 def chain_law(n: int, alpha) -> dict:
-    """Exact law of the growth chain at time n, by forward recursion."""
-    alpha = Fraction(alpha)
-    law = {(1,): Fraction(1)}
+    """Exact law of the growth chain at time n, by forward recursion on
+    run-length keys; partitions in the order first reached, top corner first."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a, b = _alpha_ratio(alpha)
+    law = {((1, 1),): Fraction(1)}
     for _ in range(n - 1):
         nxt: dict = {}
-        for parts, p in law.items():
-            dist = kerov_transition_probs(parts, alpha)
-            for corner, tp in zip(dist.corners, dist.probs):
-                grown = _add_box(parts, corner)
-                nxt[grown] = nxt.get(grown, Fraction(0)) + p * tp
+        for runs, p in law.items():
+            _, probs = _corner_law(runs, a, b)
+            for t, tp in enumerate(probs):
+                grown = [list(run) for run in runs]
+                _grow_runs(grown, t)
+                key = tuple(map(tuple, grown))
+                nxt[key] = nxt.get(key, 0) + p * tp
         law = nxt
-    return law
+    return {_runs_to_parts(runs): p for runs, p in law.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +324,9 @@ def kerov_sample(n: int, alpha, rng: np.random.Generator):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    alpha = Fraction(alpha)
-    runs, boxes, _ = _grow(n, float(alpha), rng)
-    return _runs_to_parts(runs), [alpha * col - row for row, col in boxes]
+    a, b = _alpha_ratio(alpha)
+    runs, boxes, _ = _grow(n, a / b, rng)
+    return _runs_to_parts(runs), [Fraction(a * col - b * row, b) for row, col in boxes]
 
 
 def _batch_corner_law(v: np.ndarray, c: np.ndarray, r: np.ndarray, alpha: float):
@@ -400,7 +425,7 @@ def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dic
     """
     if n < 2:
         raise ValueError("standardized sampling needs n >= 2")
-    af = float(Fraction(alpha))
+    af = _alpha_float(alpha)
     scale = content_scale(n, alpha)
     w = np.empty(size)
     lam1_prev = np.empty(size, dtype=np.int64)
@@ -427,11 +452,11 @@ def conditional_t_moments(parts: Sequence[int], alpha, n: int) -> tuple[Fraction
     parts = _validate_partition(parts)
     if sum(parts) != n - 1:
         raise ValueError("partition must have size n - 1")
-    alpha = Fraction(alpha)
-    dist = kerov_transition_probs(parts, alpha)
-    m1 = sum(p * c for p, c in zip(dist.probs, dist.contents))
-    m2 = sum(p * c * c for p, c in zip(dist.probs, dist.contents))
-    return m1, m2 / (alpha * binomial(n, 2))
+    a, b = _alpha_ratio(alpha)
+    xs, probs = _corner_law(_parts_to_runs(parts), a, b)  # xs are b times the contents
+    m1 = sum(p * x for p, x in zip(probs, xs)) / b
+    m2 = sum(p * x * x for p, x in zip(probs, xs))
+    return m1, m2 / (a * b * binomial(n, 2))
 
 
 @dataclass(frozen=True)
@@ -457,12 +482,13 @@ def zero_bias_pair_distribution(parts: Sequence[int], alpha) -> ZeroBiasPair:
     """Exact pair table with weights p_i p_j (t_i - t_j)^2 / (4/n), for the exact check."""
     parts = _validate_partition(parts)
     n = sum(parts) + 1
-    alpha = Fraction(alpha)
-    dist = kerov_transition_probs(parts, alpha)
-    raw = _pair_weights(dist.contents, dist.probs)
+    a, b = _alpha_ratio(alpha)
+    xs, probs = _corner_law(_parts_to_runs(parts), a, b)
+    raw = _pair_weights(xs, probs)  # b^2 times the weights, which cancels below
     total = sum(raw.values())
     weights = {ij: wt / total for ij, wt in raw.items()}
-    return ZeroBiasPair(dist.contents, dist.probs, weights, total / (alpha * binomial(n, 2)))
+    contents = tuple(Fraction(x, b) for x in xs)
+    return ZeroBiasPair(contents, tuple(probs), weights, total / (a * b * binomial(n, 2)))
 
 
 def zero_bias_sample(n: int, alpha, rng: np.random.Generator) -> dict:
@@ -477,7 +503,7 @@ def zero_bias_sample(n: int, alpha, rng: np.random.Generator) -> dict:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    af = float(Fraction(alpha))
+    af = _alpha_float(alpha)
     runs, _, v = _grow(n - 1, af, rng)
     scale = content_scale(n, alpha)
     contents, probs, _ = _float_law(runs, af)
@@ -496,19 +522,13 @@ def zero_bias_sample(n: int, alpha, rng: np.random.Generator) -> dict:
     return {"w": w, "w_star": w_star, "d": w_star - w, "lambda1_prev": runs[0][0]}
 
 
-def _jack_measure(n: int, alpha: Fraction) -> list[tuple[tuple, Fraction]]:
-    """Every partition of n with its exact Jack probability."""
-    return [(parts, jack_probability(parts, alpha)) for parts in enumerate_partitions(n)]
-
-
-def _u_integral(v: Fraction, ci: Fraction, cj: Fraction, power: int) -> Fraction:
-    """int_0^1 (v + u ci + (1-u) cj)^power du, exact."""
-    if power == 0:
-        return Fraction(1)
-    hi, lo = v + ci, v + cj
-    if ci == cj:
-        return hi**power
-    return (hi ** (power + 1) - lo ** (power + 1)) / ((power + 1) * (hi - lo))
+def _jack_measure(n: int, a: int, b: int) -> list[tuple[Fraction, int]]:
+    """(exact Jack probability, b Y) for every partition of n at alpha = a/b."""
+    alpha = Fraction(a, b)
+    return [
+        (jack_probability(parts, alpha), _scaled_content(parts, a, b))
+        for parts in enumerate_partitions(n)
+    ]
 
 
 def check_zero_bias_identity(n: int, alpha, coeffs: Sequence) -> dict:
@@ -519,25 +539,27 @@ def check_zero_bias_identity(n: int, alpha, coeffs: Sequence) -> dict:
     exact measure; the right side enumerates the growth chain to n-1, the
     pair table, and integrates the interpolation parameter in closed form.
     Powers of the irrational scale are cleared monomial by monomial, so the
-    comparison is exact rational equality.
+    comparison is exact rational equality.  Contents are b-scaled integers at
+    alpha = a/b: k times the u-integral of (v + u c_i + (1-u) c_j)^(k-1) is
+    sum_t H^t L^(k-1-t) / b^(k-1) with H = b(v + c_i) and L = b(v + c_j), and
+    the b^2 of the scaled pair weights cancels in their normalization.
     """
-    if n > 8:
-        raise ValueError("exhaustive check kept feasible only for n <= 8")
+    if not 2 <= n <= 8:
+        raise ValueError("n must lie in [2, 8]; the exhaustive check is kept feasible")
     if len(coeffs) > 6:
         raise ValueError("polynomial degree must be at most 5")
-    alpha = Fraction(alpha)
+    a, b = _alpha_ratio(alpha)
+    alpha = Fraction(a, b)
     coeffs = [Fraction(c) for c in coeffs]
     scale2 = alpha * binomial(n, 2)
     scale = float(scale2) ** 0.5
 
-    measure = _jack_measure(n, alpha)
-    y_moment = lambda j: sum(p * content_sum(parts, alpha) ** j for parts, p in measure)
-
-    prev_law = chain_law(n - 1, alpha)
-    pair_tables = [
-        (prob, content_sum(parts, alpha), zero_bias_pair_distribution(parts, alpha))
-        for parts, prob in prev_law.items()
-    ]
+    measure = _jack_measure(n, a, b)
+    pair_tables = []
+    for parts, prob in chain_law(n - 1, alpha).items():
+        xs, probs = _corner_law(_parts_to_runs(parts), a, b)
+        raw = _pair_weights(xs, probs)
+        pair_tables.append((prob / sum(raw.values()), _scaled_content(parts, a, b), xs, raw))
 
     lhs_total = 0.0
     rhs_total = 0.0
@@ -546,17 +568,17 @@ def check_zero_bias_identity(n: int, alpha, coeffs: Sequence) -> dict:
     for k, coef in enumerate(coeffs):
         if coef == 0:
             continue
-        lhs_k = y_moment(k + 1)  # times scale^-(k+1)
+        lhs_k = sum(p * y ** (k + 1) for p, y in measure) / b ** (k + 1)  # times scale^-(k+1)
         if k == 0:
             rhs_k = Fraction(0)
         else:
-            rhs_k = k * sum(
-                prob * sum(
-                    wt * _u_integral(v, pair.contents[i], pair.contents[j], k - 1)
-                    for (i, j), wt in pair.weights.items()
+            rhs_k = sum(
+                weight * sum(
+                    wt * sum((v + xs[i]) ** t * (v + xs[j]) ** (k - 1 - t) for t in range(k))
+                    for (i, j), wt in raw.items()
                 )
-                for prob, v, pair in pair_tables
-            )  # times scale^-(k-1)
+                for weight, v, xs, raw in pair_tables
+            ) / b ** (k - 1)  # times scale^-(k-1)
         equal = lhs_k == rhs_k * scale2
         per_monomial[k] = equal
         exact_all = exact_all and equal
@@ -575,20 +597,20 @@ def check_jack_moments(n: int, alpha) -> dict:
     """Exact E Y = 0 and E Y^2 = alpha C(n,2) by enumeration, n <= 12."""
     if n > 12:
         raise ValueError("full-measure moment check kept feasible only for n <= 12")
-    alpha = Fraction(alpha)
-    measure = _jack_measure(n, alpha)
-    ey = sum(p * content_sum(parts, alpha) for parts, p in measure)
-    ey2 = sum(p * content_sum(parts, alpha) ** 2 for parts, p in measure)
-    return {"ey": ey, "ey2": ey2, "holds": ey == 0 and ey2 == alpha * binomial(n, 2)}
+    a, b = _alpha_ratio(alpha)
+    measure = _jack_measure(n, a, b)
+    ey = sum(p * y for p, y in measure) / b
+    ey2 = sum(p * y * y for p, y in measure) / (b * b)
+    return {"ey": ey, "ey2": ey2, "holds": ey == 0 and ey2 == Fraction(a, b) * binomial(n, 2)}
 
 
 def exact_w_law(n: int, alpha) -> DiscreteLaw:
     """Law of the standardized content as float atoms with exact weights."""
-    alpha = Fraction(alpha)
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    a, b = _alpha_ratio(alpha)
     scale = content_scale(n, alpha)
-    return law_from_pairs(
-        (float(content_sum(parts, alpha)) / scale, p) for parts, p in _jack_measure(n, alpha)
-    )
+    return law_from_pairs((y / b / scale, p) for p, y in _jack_measure(n, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +619,13 @@ def exact_w_law(n: int, alpha) -> DiscreteLaw:
 
 
 def single_column_prob(n: int, alpha) -> dict:
-    """Exact P[first column = n] with its exponential lower bound."""
-    alpha = Fraction(alpha)
-    prob = Fraction(1)
-    for l in range(n):
-        prob *= alpha / (alpha + l)
-    lower = math.exp(-(n * n) / float(alpha))
+    """Exact P[first column = n] = prod_l a / (a + l b) at alpha = a/b, with
+    its exponential lower bound."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a, b = _alpha_ratio(alpha)
+    prob = Fraction(a**n, math.prod(a + l * b for l in range(n)))
+    lower = math.exp(-(n * n) / (a / b))
     return {"prob": prob, "lower_bound": lower, "holds": float(prob) >= lower - 1e-12}
 
 
@@ -610,7 +633,7 @@ def rate_and_region(n: int, alpha, epsilon: float) -> dict:
     """Rate n/sqrt(alpha) and the strict large-alpha window membership."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    af = float(Fraction(alpha))
+    af = _alpha_float(alpha)
     r = n / math.sqrt(af)
     in_region = n ** (1.0 + epsilon) < af < n**2 / 2 ** (1.0 - epsilon)
     return {"r": r, "in_region": in_region}
@@ -618,12 +641,12 @@ def rate_and_region(n: int, alpha, epsilon: float) -> dict:
 
 def d_bar(n: int, alpha, epsilon: float) -> float:
     """Coupling-difference majorant 10 sqrt(alpha)/(n epsilon)."""
-    return 10.0 * math.sqrt(float(Fraction(alpha))) / (n * epsilon)
+    return 10.0 * math.sqrt(_alpha_float(alpha)) / (n * epsilon)
 
 
 def first_row_bound(n: int, alpha) -> float:
     """Bound 4 e alpha / n^2 on the heavy-first-row event at time n-1."""
-    return 4.0 * math.e * float(Fraction(alpha)) / n**2
+    return 4.0 * math.e * _alpha_float(alpha) / n**2
 
 
 def check_wasserstein_bound(n: int, alpha, rng: np.random.Generator, samples: int) -> dict:

@@ -4,6 +4,10 @@ Each oracle recomputes its target quantity by direct enumeration or
 recurrence, along a different route than the implementation under test.
 Only ``loop_jack_batch`` imports steinlab internals: it replays the scalar
 growth loop, one chain at a time, that the vectorized batch sweep must equal.
+The exact Jack quantities (content sum, chain law, content moments and the
+zero-bias identity) have Fraction references here, on the hook-product
+measure and transition law with unscaled contents, for the integer-scaled
+implementation; they take the partitions from ``enumerate_partitions``.
 The exact ER laws have two references here, on routes the edge chain does
 not take: the Taylor shift of the binomial moments for the law of Y, and the
 enumeration of relocation-target subsets for the law of Y_v given (G, v).
@@ -23,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from steinlab.jack_model import _grow, content_scale
+from steinlab.jack_model import _grow, content_scale, enumerate_partitions
 
 
 @lru_cache(maxsize=None)
@@ -276,6 +280,105 @@ def literal_transition_probs(parts: tuple, alpha) -> list[tuple]:
         prob = old_hooks / _hook_product(grown, alpha) * psi
         out.append(((r, c), alpha * (c - 1) - (r - 1), prob))
     return out
+
+
+def fraction_content_sum(parts: tuple, alpha) -> Fraction:
+    """Y = sum over rows of alpha C(lam_i, 2) - (i-1) lam_i, in Fractions."""
+    alpha = Fraction(alpha)
+    return sum(
+        alpha * Fraction(lam * (lam - 1), 2) - (i - 1) * lam
+        for i, lam in enumerate(parts, start=1)
+    )
+
+
+def fraction_chain_law(n: int, alpha) -> dict:
+    """Law of the growth chain at time n by forward recursion over partitions,
+    with the hook-product transition law; partitions in first-reached order."""
+    law = {(1,): Fraction(1)}
+    for _ in range(n - 1):
+        nxt: dict = {}
+        for parts, p in law.items():
+            for (r, _), _, tp in literal_transition_probs(parts, alpha):
+                grown = list(parts) + [0]
+                grown[r - 1] += 1
+                grown = tuple(q for q in grown if q)
+                nxt[grown] = nxt.get(grown, Fraction(0)) + p * tp
+        law = nxt
+    return law
+
+
+def _fraction_measure(n: int, alpha: Fraction) -> list[tuple[Fraction, Fraction]]:
+    return [
+        (literal_jack_probability(parts, alpha), fraction_content_sum(parts, alpha))
+        for parts in enumerate_partitions(n)
+    ]
+
+
+def fraction_jack_moments(n: int, alpha) -> dict:
+    """``check_jack_moments`` in Fractions over the hook-product measure."""
+    alpha = Fraction(alpha)
+    measure = _fraction_measure(n, alpha)
+    ey = sum(p * y for p, y in measure)
+    ey2 = sum(p * y**2 for p, y in measure)
+    return {"ey": ey, "ey2": ey2, "holds": ey == 0 and ey2 == alpha * math.comb(n, 2)}
+
+
+def _u_integral(v: Fraction, ci: Fraction, cj: Fraction, power: int) -> Fraction:
+    """int_0^1 (v + u ci + (1-u) cj)^power du, exact."""
+    if power == 0:
+        return Fraction(1)
+    hi, lo = v + ci, v + cj
+    if ci == cj:
+        return hi**power
+    return (hi ** (power + 1) - lo ** (power + 1)) / ((power + 1) * (hi - lo))
+
+
+def fraction_zero_bias_identity(n: int, alpha, coeffs) -> dict:
+    """``check_zero_bias_identity`` in Fractions: the hook-product measure at n,
+    the hook-product chain to n-1, the normalized pair table
+    p_i p_j (c_i - c_j)^2 on unscaled contents, and the u-integral in closed
+    form, monomial by monomial."""
+    alpha = Fraction(alpha)
+    coeffs = [Fraction(c) for c in coeffs]
+    scale2 = alpha * math.comb(n, 2)
+    scale = float(scale2) ** 0.5
+    measure = _fraction_measure(n, alpha)
+    pair_tables = []
+    for parts, prob in fraction_chain_law(n - 1, alpha).items():
+        law = literal_transition_probs(parts, alpha)
+        raw = {
+            (i, j): pi * pj * (ci - cj) ** 2
+            for i, (_, ci, pi) in enumerate(law)
+            for j, (_, cj, pj) in enumerate(law)
+            if i != j
+        }
+        total = sum(raw.values())
+        weights = {ij: wt / total for ij, wt in raw.items()}
+        pair_tables.append((prob, fraction_content_sum(parts, alpha), [c for _, c, _ in law], weights))
+
+    lhs_total = rhs_total = 0.0
+    exact_all = True
+    per_monomial = {}
+    for k, coef in enumerate(coeffs):
+        if coef == 0:
+            continue
+        lhs_k = sum(p * y ** (k + 1) for p, y in measure)  # times scale^-(k+1)
+        rhs_k = k * sum(
+            prob * sum(wt * _u_integral(v, cs[i], cs[j], k - 1) for (i, j), wt in weights.items())
+            for prob, v, cs, weights in pair_tables
+        ) if k else Fraction(0)  # times scale^-(k-1)
+        equal = lhs_k == rhs_k * scale2
+        per_monomial[k] = equal
+        exact_all = exact_all and equal
+        lhs_total += float(coef) * float(lhs_k) / scale ** (k + 1)
+        rhs_total += float(coef) * float(rhs_k) / scale ** max(k - 1, 0)
+    return {
+        "lhs": lhs_total,
+        "rhs": rhs_total,
+        "max_abs_err": abs(lhs_total - rhs_total),
+        "exact_equal": exact_all,
+        "per_monomial": per_monomial,
+    }
 
 
 def argsort_distinct_rows(rng, N: int, m: int, rows: int):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import re
@@ -252,14 +251,14 @@ class TestVerify:
         assert (code1, out1) == (code2, out2)
 
     def test_perturbed_kerov_weights_fail(self, capsys, monkeypatch):
-        exact_law = jack_model.kerov_transition_probs
+        # _corner_law is the one implementation of the transition law
+        exact_law = jack_model._corner_law
 
-        def shifted_law(parts, alpha):
-            dist = exact_law(parts, alpha)
-            probs = (dist.probs[0] + Fraction(1, 10**9),) + dist.probs[1:]
-            return dataclasses.replace(dist, probs=probs)
+        def shifted_law(runs, a, b=1):
+            contents, probs = exact_law(runs, a, b)
+            return contents, [probs[0] + Fraction(1, 10**9)] + probs[1:]
 
-        monkeypatch.setattr(jack_model, "kerov_transition_probs", shifted_law)
+        monkeypatch.setattr(jack_model, "_corner_law", shifted_law)
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 1
         payload = json.loads(out)

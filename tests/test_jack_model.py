@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from steinlab import jack_model as jm
 
 from oracles import (
+    fraction_chain_law,
+    fraction_content_sum,
+    fraction_jack_moments,
     literal_jack_probability,
     literal_transition_probs,
     loop_jack_batch,
@@ -18,6 +21,7 @@ from oracles import (
 
 ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
 LAW_ALPHAS = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2)]
+ORACLE_ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(7, 3)]
 # near one column (large alpha), many corners (alpha near 1), near one row (small alpha), n = 2
 SWEEP_POINTS = [
     (16, 64), (32, "181.019336"), (64, 512), (100, 1000), (50, 1), (100, 1), (40, "7/2"),
@@ -103,6 +107,13 @@ class TestContentSum:
         w = float(jm.content_sum((2,), 4)) / jm.content_scale(2, 4)
         assert w == pytest.approx(2.0)  # alpha / sqrt(alpha) = sqrt(alpha)
 
+    def test_matches_fraction_oracle(self):
+        for n in range(1, 13):
+            for parts in jm.enumerate_partitions(n):
+                for alpha in ORACLE_ALPHAS + [Fraction("181.019336")]:
+                    got = jm.content_sum(parts, alpha)
+                    assert type(got) is Fraction and got == fraction_content_sum(parts, alpha)
+
 
 class TestAddableCorners:
     def test_examples(self):
@@ -136,6 +147,13 @@ class TestKerovTransitions:
             for parts, prob in law.items():
                 assert prob == jm.jack_probability(parts, alpha)
 
+    def test_chain_law_matches_fraction_oracle(self):
+        for n in range(1, 8):
+            for alpha in ORACLE_ALPHAS:
+                assert list(jm.chain_law(n, alpha).items()) == (
+                    list(fraction_chain_law(n, alpha).items())
+                )
+
     def test_law_matches_literal_oracle(self):
         for n in range(1, 13):
             for parts in jm.enumerate_partitions(n):
@@ -160,6 +178,44 @@ class TestKerovTransitions:
         _, weights = jm._corner_law(jm._parts_to_runs(parts), float(alpha))
         for w, p in zip(weights, dist.probs):
             assert w == pytest.approx(float(p), rel=1e-11, abs=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 20), min_size=1, max_size=20)
+        .filter(lambda xs: sum(xs) <= 20)
+        .map(lambda xs: tuple(sorted(xs, reverse=True))),
+        st.builds(Fraction, st.integers(1, 10**7), st.integers(1, 10**6)),
+    )
+    @example((5, 3, 3, 1), Fraction("181.019336"))
+    @example((20,), Fraction(1, 10**6))
+    def test_integer_law_property(self, parts, alpha):
+        a, b = alpha.numerator, alpha.denominator
+        xs, probs = jm._corner_law(jm._parts_to_runs(parts), a, b)
+        assert all(type(x) is int for x in xs)
+        assert sum(probs) == 1
+        got = list(zip(jm.addable_corners(parts), [Fraction(x, b) for x in xs], probs))
+        assert got == literal_transition_probs(parts, alpha)
+
+    def test_two_fractions_per_corner(self):
+        """One content and one probability per corner, and no Fraction
+        arithmetic: ``Fraction.__new__`` also counts every Fraction product."""
+        made = 0
+        new = Fraction.__dict__["__new__"]
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return new(cls, *args, **kwargs)
+
+        for parts, alpha in (((1,), Fraction(2)), ((6, 4, 4, 2, 1), Fraction(7, 3)),
+                             (tuple(range(8, 0, -1)), Fraction("181.019336"))):
+            made = 0
+            Fraction.__new__ = counting_new
+            try:
+                dist = jm.kerov_transition_probs(parts, alpha)
+            finally:
+                Fraction.__new__ = new
+            assert 0 < made <= 2 * len(dist.corners)
 
     def test_float_law_matches_exact(self):
         for n in range(1, 13):
@@ -335,9 +391,63 @@ class TestJackMoments:
         with pytest.raises(ValueError):
             jm.check_jack_moments(13, 1)
 
+    def test_matches_fraction_oracle(self):
+        for n in range(1, 10):
+            for alpha in ORACLE_ALPHAS:
+                got = jm.check_jack_moments(n, alpha)
+                want = fraction_jack_moments(n, alpha)
+                assert list(got.items()) == list(want.items())
+                assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
 
 class TestExactWLaw:
     def test_two_point_law_at_alpha_one(self):
         law = jm.exact_w_law(2, 1)
         assert sorted(v for v, _ in law.atoms) == [-1.0, 1.0]
         assert all(p == Fraction(1, 2) for _, p in law.atoms)
+
+
+BAD_ALPHA_CALLS = {
+    "jack_probability": lambda a: jm.jack_probability((2, 1), a),
+    "content_sum": lambda a: jm.content_sum((2, 1), a),
+    "kerov_transition_probs": lambda a: jm.kerov_transition_probs((2, 1), a),
+    "chain_law": lambda a: jm.chain_law(3, a),
+    "conditional_t_moments": lambda a: jm.conditional_t_moments((2, 1), a, 4),
+    "zero_bias_pair_distribution": lambda a: jm.zero_bias_pair_distribution((2, 1), a),
+    "check_zero_bias_identity": lambda a: jm.check_zero_bias_identity(3, a, [0, 1]),
+    "check_jack_moments": lambda a: jm.check_jack_moments(3, a),
+    "exact_w_law": lambda a: jm.exact_w_law(3, a),
+    "single_column_prob": lambda a: jm.single_column_prob(3, a),
+    "kerov_sample": lambda a: jm.kerov_sample(5, a, np.random.default_rng(0)),
+    "sample_jack_batch": lambda a: jm.sample_jack_batch(5, a, np.random.default_rng(0), 3),
+    "zero_bias_sample": lambda a: jm.zero_bias_sample(5, a, np.random.default_rng(0)),
+    "rate_and_region": lambda a: jm.rate_and_region(10, a, 0.5),
+    "d_bar": lambda a: jm.d_bar(10, a, 0.5),
+    "first_row_bound": lambda a: jm.first_row_bound(10, a),
+}
+
+
+class TestBadInput:
+    """alpha <= 0 and too small an n are one ValueError, not a garbage result
+    or a division by zero."""
+
+    def test_chain_law_at_time_zero(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            jm.chain_law(0, 1)
+
+    @pytest.mark.parametrize("alpha", [0, -1, Fraction(-1, 2), "-0.5"])
+    @pytest.mark.parametrize("name", list(BAD_ALPHA_CALLS))
+    def test_nonpositive_alpha(self, name, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            BAD_ALPHA_CALLS[name](alpha)
+
+    def test_one_box_standardized_checks(self):
+        # the scale sqrt(alpha C(1, 2)) is 0
+        with pytest.raises(ValueError, match=r"n must lie in \[2, 8\]"):
+            jm.check_zero_bias_identity(1, 1, [0, 1])
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            jm.exact_w_law(1, 1)
+
+    def test_single_column_needs_a_box(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            jm.single_column_prob(0, 1)

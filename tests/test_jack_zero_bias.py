@@ -8,6 +8,8 @@ from steinlab import jack_model as jm
 from steinlab import stein_core as sc
 from steinlab.exactnum import binomial
 
+from oracles import fraction_zero_bias_identity
+
 ALPHAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
 LAW_ALPHAS = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(7, 2)]
 
@@ -193,6 +195,16 @@ class TestZeroBiasIdentity:
     def test_general_polynomial(self):
         rep = jm.check_zero_bias_identity(6, Fraction(5), [1, -2, 3, 0, 1, 1])
         assert rep["exact_equal"]
+
+    def test_matches_fraction_oracle(self):
+        polys = [[0] * k + [1] for k in range(6)] + [[3, -1, Fraction(1, 2), 0, 2, 1]]
+        for n in range(2, 8):
+            for alpha in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(7, 3)):
+                for coeffs in polys:
+                    got = jm.check_zero_bias_identity(n, alpha, coeffs)
+                    want = fraction_zero_bias_identity(n, alpha, coeffs)
+                    assert list(got.items()) == list(want.items())
+                    assert list(got["per_monomial"].items()) == list(want["per_monomial"].items())
 
     def test_guards(self):
         with pytest.raises(ValueError):
