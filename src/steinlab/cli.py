@@ -195,10 +195,13 @@ def _er_row(config: dict, grid_index: int, params: er_model.ErParams) -> dict:
 def _jack_row(config: dict, grid_index: int, params: jack_model.JackParams) -> dict:
     n, alpha = params.n, params.alpha
     samples, epsilon = config["samples"], config["epsilon"]
+    # one sweep: the first `samples` chains for the Kolmogorov columns, the
+    # rest for d1; the same uniforms as two calls in turn on the row's stream
     rng = _spawn_rng(config["seed"], "jack-report", grid_index)
-    kol = jack_model.kolmogorov_estimate(n, alpha, rng, samples, config["confidence"])
-    lam1 = kol.pop("lambda1_prev")
-    was = jack_model.check_wasserstein_bound(n, alpha, rng, max(samples // 10, 100))
+    batch = jack_model.sample_jack_batch(n, alpha, rng, samples + max(samples // 10, 100))
+    w, lam1 = batch["w"], batch["lambda1_prev"][:samples]
+    kol = jack_model._kolmogorov_report(n, alpha, w[:samples], config["confidence"])
+    was = jack_model._wasserstein_report(n, alpha, w[samples:])
     region = jack_model.rate_and_region(n, alpha, epsilon)
     col = jack_model.single_column_prob(n, alpha)
     return {

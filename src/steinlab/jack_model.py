@@ -649,21 +649,33 @@ def first_row_bound(n: int, alpha) -> float:
     return 4.0 * math.e * _alpha_float(alpha) / n**2
 
 
-def check_wasserstein_bound(n: int, alpha, rng: np.random.Generator, samples: int) -> dict:
-    """Order-statistics d1 estimate against the explicit root-n bound.
+def _wasserstein_report(n: int, alpha, w: np.ndarray) -> dict:
+    """Order-statistics d1 estimate from the standardized contents ``w``
+    against the explicit root-n bound.
 
-    The Monte Carlo slack 6/sqrt(samples) is a generous budget for the
+    The Monte Carlo slack 6/sqrt(len(w)) is a generous budget for the
     sampling error of the order-statistics coupling estimate.
     """
+    af = _alpha_float(alpha)
+    d1_hat = wasserstein_estimate(w)
+    bound = math.sqrt(2.0 / n) * (2.0 + math.sqrt(2.0 + max(af, 1.0 / af) / (n - 1)))
+    slack = 6.0 / math.sqrt(w.size)
+    return {"d1_hat": d1_hat, "bound": bound, "holds_within_mc": d1_hat <= bound + slack}
+
+
+def _kolmogorov_report(n: int, alpha, w: np.ndarray, confidence: float) -> dict:
+    """Empirical Kolmogorov distance of the standardized contents ``w`` to the
+    normal, with its product with the rate n/sqrt(alpha)."""
+    report = empirical_kolmogorov(w, confidence=confidence)
+    report["delta_times_rate"] = report["delta_hat"] * n / math.sqrt(_alpha_float(alpha))
+    return report
+
+
+def check_wasserstein_bound(n: int, alpha, rng: np.random.Generator, samples: int) -> dict:
+    """``_wasserstein_report`` on ``samples`` fresh chains."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    alpha = Fraction(alpha)
-    af = float(alpha)
-    batch = sample_jack_batch(n, alpha, rng, samples)
-    d1_hat = wasserstein_estimate(batch["w"])
-    bound = math.sqrt(2.0 / n) * (2.0 + math.sqrt(2.0 + max(af, 1.0 / af) / (n - 1)))
-    slack = 6.0 / math.sqrt(samples)
-    return {"d1_hat": d1_hat, "bound": bound, "holds_within_mc": d1_hat <= bound + slack}
+    return _wasserstein_report(n, alpha, sample_jack_batch(n, alpha, rng, samples)["w"])
 
 
 def kolmogorov_estimate(
@@ -673,13 +685,11 @@ def kolmogorov_estimate(
     samples: int,
     confidence: float = 0.05,
 ) -> dict:
-    """Empirical Kolmogorov distance of standardized contents to the normal,
-    with its product with the rate n/sqrt(alpha)."""
+    """``_kolmogorov_report`` on ``samples`` fresh chains, with their
+    pre-final first rows as ``lambda1_prev``."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    alpha = Fraction(alpha)
     batch = sample_jack_batch(n, alpha, rng, samples)
-    report = empirical_kolmogorov(batch["w"], confidence=confidence)
-    report["delta_times_rate"] = report["delta_hat"] * n / math.sqrt(float(alpha))
+    report = _kolmogorov_report(n, alpha, batch["w"], confidence)
     report["lambda1_prev"] = batch["lambda1_prev"]
     return report

@@ -2,8 +2,10 @@
 
 Each oracle recomputes its target quantity by direct enumeration or
 recurrence, along a different route than the implementation under test.
-Only ``loop_jack_batch`` imports steinlab internals: it replays the scalar
-growth loop, one chain at a time, that the vectorized batch sweep must equal.
+Only ``loop_jack_batch`` and ``two_call_jack_row`` import steinlab
+internals.  The first replays the scalar growth loop, one chain at a time,
+that the vectorized batch sweep must equal; the second builds a jack-report
+row from one sampler call per estimate, which the one-sweep row must equal.
 The exact Jack quantities (content sum, chain law, content moments and the
 zero-bias identity) have Fraction references here, on the hook-product
 measure and transition law with unscaled contents, for the integer-scaled
@@ -27,7 +29,9 @@ from typing import Callable
 
 import numpy as np
 
+from steinlab import cli, jack_model as jm
 from steinlab.jack_model import _grow, content_scale, enumerate_partitions
+from steinlab.stein_core import kolmogorov_discrete_vs_normal
 
 
 @lru_cache(maxsize=None)
@@ -438,6 +442,35 @@ def loop_jack_batch(n: int, alpha, rng, size: int) -> dict:
         w[i] = y / scale
         lam1_prev[i] = runs[0][0] - (boxes[-1][0] == 0)  # first row before the last box
     return {"w": w, "lambda1_prev": lam1_prev}
+
+
+def two_call_jack_row(config: dict, grid_index: int, params) -> dict:
+    """A jack-report row from two sampler calls in turn on the row's stream:
+    ``kolmogorov_estimate`` on ``samples`` chains, then
+    ``check_wasserstein_bound`` on ``max(samples // 10, 100)`` more."""
+    n, alpha = params.n, params.alpha
+    samples, epsilon = config["samples"], config["epsilon"]
+    rng = cli._spawn_rng(config["seed"], "jack-report", grid_index)
+    kol = jm.kolmogorov_estimate(n, alpha, rng, samples, config["confidence"])
+    was = jm.check_wasserstein_bound(n, alpha, rng, max(samples // 10, 100))
+    region = jm.rate_and_region(n, alpha, epsilon)
+    return {
+        "n": n,
+        "alpha": alpha,
+        "rate": region["r"],
+        "in_region": region["in_region"],
+        "delta_hat": kol["delta_hat"],
+        "dkw_band": kol["dkw_band"],
+        "delta_times_rate": kol["delta_times_rate"],
+        "d1_hat": was["d1_hat"],
+        "wasserstein_bound": was["bound"],
+        "single_column_prob": float(jm.single_column_prob(n, alpha)["prob"]),
+        "fc_frequency": float(np.mean(kol["lambda1_prev"] > 2.0 / epsilon)),
+        "fc_bound": jm.first_row_bound(n, alpha),
+        "exact_delta": kolmogorov_discrete_vs_normal(jm.exact_w_law(n, alpha))
+        if n <= 8
+        else None,
+    }
 
 
 def _all_perms(N: int):

@@ -12,6 +12,8 @@ import pytest
 
 from steinlab import cli, er_model, jack_model
 
+from oracles import two_call_jack_row
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -149,7 +151,51 @@ class TestErReport:
         assert row["delta_hat"] == "" and row["rate"] == "0.0"
 
 
+# (2,1) and (6,1) carry exact_delta; at epsilon 0.9 the fc_frequency column is not all 0
+JACK_POINTS = [("2", "1"), ("6", "1"), ("16", "64"), ("32", "181.019336"), ("64", "512")]
+
+
+def assert_rows_equal_two_calls(samples):
+    config = {"seed": 11, "samples": samples, "confidence": 0.05, "epsilon": 0.9}
+    point = cli.REPORTS["jack-report"][0]
+    for grid_index, (n, alpha) in enumerate(JACK_POINTS):
+        params = point(n, alpha)
+        row = cli._jack_row(config, grid_index, params)
+        want = two_call_jack_row(config, grid_index, params)
+        assert row == want and list(row) == list(want), (n, alpha)
+
+
 class TestJackReport:
+    @pytest.mark.parametrize("samples", [100, 333, 1000])
+    def test_one_sweep_row_equals_two_calls(self, samples):
+        assert_rows_equal_two_calls(samples)
+
+    def test_one_sweep_row_across_chunk_edges(self, monkeypatch):
+        # 7-chain chunks: 100 Kolmogorov chains end inside chunk 15, and the
+        # 100 d1 chains span chunk edges too
+        monkeypatch.setattr(jack_model, "_BATCH_ROWS", 7)
+        assert_rows_equal_two_calls(100)
+
+    def test_one_sampler_call_per_row(self, capsys, monkeypatch):
+        sizes = []
+        sample = jack_model.sample_jack_batch
+
+        def counted(n, alpha, rng, size):
+            sizes.append(size)
+            return sample(n, alpha, rng, size)
+
+        monkeypatch.setattr(jack_model, "sample_jack_batch", counted)
+        code, _, _ = run_cli(["jack-report", "--grid", "6,1;16,64", "--samples", "1500"], capsys)
+        assert code == 0
+        assert sizes == [1650, 1650]
+
+    def test_workers_do_not_change_output(self, capsys):
+        base = ["jack-report", "--grid", "6,1;16,64;32,181.019336", "--samples", "300",
+                "--seed", "5"]
+        _, serial, _ = run_cli(base, capsys)
+        _, parallel, _ = run_cli(base + ["--workers", "2"], capsys)
+        assert serial == parallel
+
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(
             ["jack-report", "--grid", "2,1;6,1", "--samples", "2000", "--seed", "2",

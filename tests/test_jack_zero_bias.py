@@ -226,6 +226,16 @@ class TestWassersteinBound:
         assert rep["bound"] == pytest.approx(math.sqrt(0.02) * (2 + math.sqrt(2 + 1 / 99)))
         assert rep["holds_within_mc"]
 
+    def test_slack_is_six_over_root_k(self):
+        # shifted order-statistic quantiles: d1_hat is the shift c
+        k = 100
+        q = sc.normal_ppf((np.arange(1, k + 1) - 0.5) / k)
+        bound = jm._wasserstein_report(100, 1, q)["bound"]
+        for c, holds in ((bound + 0.55, True), (bound + 0.65, False)):
+            rep = jm._wasserstein_report(100, 1, q + c)
+            assert rep["d1_hat"] == pytest.approx(c)
+            assert rep["holds_within_mc"] is holds
+
     def test_small_grid(self):
         rng = np.random.default_rng(61)
         for n in (10, 50):
@@ -259,3 +269,53 @@ class TestKolmogorovEstimate:
             for n in (8, 16, 32)
         ]
         assert all(math.isfinite(v) for v in values)
+
+
+# The public wrappers at seed 2024, 300 Kolmogorov and 150 d1 chains, as
+# returned before they became sample_jack_batch plus an array-level report:
+# (report without lambda1_prev, (sum, first five) of lambda1_prev, d1 report).
+PINNED_REPORTS = {
+    (16, 64): (
+        {"delta_hat": 0.2267194310880562, "dkw_band": 0.07841002756996855, "samples": 300,
+         "delta_times_rate": 0.4534388621761124},
+        (544, [2, 1, 2, 2, 3]),
+        {"d1_hat": 0.250160535866913, "bound": 1.592167984343331, "holds_within_mc": True},
+    ),
+    (50, 1): (
+        {"delta_hat": 0.039450968109826234, "dkw_band": 0.07841002756996855, "samples": 300,
+         "delta_times_rate": 1.9725484054913118},
+        (3348, [10, 11, 12, 12, 9]),
+        {"d1_hat": 0.05910500426055346, "bound": 0.6842821248876056, "holds_within_mc": True},
+    ),
+    # n/sqrt(alpha) irrational: the rate product's rounding order shows
+    (10, Fraction(7, 3)): (
+        {"delta_hat": 0.10506875017492506, "dkw_band": 0.07841002756996855, "samples": 300,
+         "delta_times_rate": 0.687836429787141},
+        (949, [4, 4, 3, 3, 3]),
+        {"d1_hat": 0.18212199352131428, "bound": 1.5666264559889904, "holds_within_mc": True},
+    ),
+}
+
+
+class TestReportWrappers:
+    @pytest.mark.parametrize("n, alpha", list(PINNED_REPORTS))
+    def test_pinned_values(self, n, alpha):
+        want_kol, (lam1_sum, lam1_head), want_was = PINNED_REPORTS[n, alpha]
+        kol = jm.kolmogorov_estimate(n, alpha, np.random.default_rng(2024), 300)
+        lam1 = kol.pop("lambda1_prev")
+        was = jm.check_wasserstein_bound(n, alpha, np.random.default_rng(2024), 150)
+        for got, want in ((kol, want_kol), (was, want_was)):
+            assert got == want and list(got) == list(want)
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+        assert lam1.dtype == np.int64 and lam1.shape == (300,)
+        assert int(lam1.sum()) == lam1_sum and lam1[:5].tolist() == lam1_head
+
+    @pytest.mark.parametrize("n, alpha", list(PINNED_REPORTS))
+    def test_wrappers_are_sampler_plus_report(self, n, alpha):
+        kol = jm.kolmogorov_estimate(n, alpha, np.random.default_rng(2024), 300)
+        batch = jm.sample_jack_batch(n, alpha, np.random.default_rng(2024), 300)
+        np.testing.assert_array_equal(kol.pop("lambda1_prev"), batch["lambda1_prev"])
+        assert kol == jm._kolmogorov_report(n, alpha, batch["w"], 0.05)
+        was = jm.check_wasserstein_bound(n, alpha, np.random.default_rng(2024), 150)
+        w = jm.sample_jack_batch(n, alpha, np.random.default_rng(2024), 150)["w"]
+        assert was == jm._wasserstein_report(n, alpha, w)
