@@ -15,9 +15,10 @@ two integer products.  Contents and content sums stay scaled integers until an
 exact value is returned.  With a float alpha and b = 1 it serves the one-chain
 samplers.  The batch sampler's ``_sweep`` is its vectorized twin: it grows a
 whole batch of chains one box per numpy step, on the same run-length
-encoding held in zero-padded int64 arrays, and multiplies the same factors in
-the same order, so its draws equal the one-chain loop's.  Both pick a corner
-by inverse CDF against the plain running sum of the float weights.  The
+encoding held in (lanes x chains) int64 arrays, so that each step runs along
+contiguous rows over all chains, and multiplies the same factors in the same
+order, so its draws equal the one-chain loop's.  Both pick a corner by
+inverse CDF against the plain running sum of the float weights.  The
 zero-bias pair law is one ``_pair_weights``: the sampler draws from it in
 floats, the exact identity check reads it on scaled contents.  The irrational
 scale sqrt(alpha C(n,2)) enters only at the final standardization.
@@ -29,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -332,84 +334,96 @@ def kerov_sample(n: int, alpha, rng: np.random.Generator):
 def _batch_corner_law(v: np.ndarray, c: np.ndarray, r: np.ndarray, alpha: float):
     """Float ``_corner_law`` of many run-length encodings at once, bit for bit.
 
-    Row i holds the values ``v`` and counts ``c`` of its r_i runs in lanes
-    t < r_i, and zeros after, with at least one zero lane.  With S_t the rows
-    above run t, lane t < r_i holds the corner x_t = alpha v_t - S_t and the
-    removable box y_t = alpha v_t - S_t - c_t, and the zeros supply the bottom
-    corner x_r = alpha 0 - S_r.  The products run in ``_corner_law``'s order,
-    with a factor 1.0 on missing lanes.  Returns the contents x and the
-    weights, which are 0 past each bottom corner, where nothing is divided.
+    The arrays are (lanes x chains): column i holds the values ``v`` and
+    counts ``c`` of chain i's r_i runs in lanes t < r_i, and zeros after, with
+    at least one zero lane.  With S_t the rows above run t, lane t < r_i holds
+    the corner x_t = alpha v_t - S_t and the removable box
+    y_t = alpha v_t - (S_t + c_t), and the zeros supply the bottom corner
+    x_r = alpha 0 - S_r.  The products run in ``_corner_law``'s order, with a
+    factor 1.0 on missing lanes.  Returns the contents x and the weights, also
+    (lanes x chains), 0 past each bottom corner, where nothing is divided.
     """
-    b, m = v.shape
-    S = np.cumsum(c, axis=1) - c
+    m, b = v.shape
+    S = np.cumsum(c, axis=0) - c
     x = alpha * v - S
     ys = alpha * v - (S + c)
-    num = np.ones((b, m))
+    lanes = np.arange(m)
+    dead = lanes[:, None] >= r  # lane i holds no run of the chain
+    f = np.empty((m, b))
+    num = np.ones((m, b))
     for i in range(m - 1):
-        f = x - ys[:, i, None]
-        f[i >= r] = 1.0
+        np.subtract(x, ys[i], out=f)
+        np.copyto(f, 1.0, where=dead[i])
         num *= f
-    den = np.ones((b, m))
+    den = np.ones((m, b))
     for j in range(m):
-        f = x - x[:, j, None]
-        f[j > r] = 1.0
-        f[:, j] = 1.0
+        np.subtract(x, x[j], out=f)
+        if j:
+            np.copyto(f, 1.0, where=dead[j - 1])  # j > r: no corner x_j
+        f[j] = 1.0
         den *= f
-    corner = np.arange(m) <= r[:, None]
-    return x, np.divide(num, den, out=np.zeros((b, m)), where=corner)
+    return x, np.divide(num, den, out=np.zeros((m, b)), where=lanes[:, None] <= r)
 
 
 def _sweep(n: int, alpha: float, u: np.ndarray):
     """``_grow`` for len(u) chains at once, one box per numpy step.
 
     Chain i draws step s with ``u[i, s]``.  Each chain is the run-length
-    encoding of ``_grow_runs`` padded with zero runs: values V, counts C and
-    the run count r.  ``_batch_corner_law`` gives the weights of ``_float_law``
-    bit for bit, so every pick and content equals the scalar one.  Returns
-    the content sums and the first rows at time n-1.
+    encoding of ``_grow_runs`` padded with zero runs, held lane-major: values
+    V and counts C of shape (lanes x chains), so that every numpy step runs
+    along contiguous rows over all chains, and the run count r.
+    ``_batch_corner_law`` gives the weights of ``_float_law`` bit for bit.
+    The pick is ``_pick``'s first-hit rule: the first lane whose running sum
+    of the weights exceeds u times their total, else the bottom corner, so
+    every pick and content equals the scalar one.  Returns the content sums
+    and the first rows at time n-1.
     """
     b = len(u)
     width = math.isqrt(2 * n) + 3  # a partition of n has at most sqrt(2n) runs
-    V = np.zeros((b, width), dtype=np.int64)
-    C = np.zeros((b, width), dtype=np.int64)
-    V[:, 0] = C[:, 0] = 1
+    V = np.zeros((width, b), dtype=np.int64)
+    C = np.zeros((width, b), dtype=np.int64)
+    V[0] = C[0] = 1
+    Vf, Cf = V.ravel(), C.ravel()  # lane t of chain i at flat index t*b + i
     r = np.ones(b, dtype=np.int64)
     chains = np.arange(b)
     lanes = np.arange(width)
     y = np.zeros(b)
     for s in range(n - 1):
         m = int(r.max()) + 1  # lanes in use: every run and the bottom corner
-        x, weights = _batch_corner_law(V[:, :m], C[:, :m], r, alpha)
-        cum = np.cumsum(weights, axis=1)
-        total = cum[:, -1]
+        x, weights = _batch_corner_law(V[:m], C[:m], r, alpha)
+        cum = np.cumsum(weights, axis=0)
+        total = cum[-1]
         _check_total(total[np.abs(total - 1.0).argmax()])
-        hit = (u[:, s] * total)[:, None] < cum
-        hit[chains, r] = True  # no hit before it: the bottom corner, as in _pick
-        t = hit.argmax(axis=1)
-        y += x[chains, t]
+        # the leading lanes whose running sum has not passed u*total, at most r
+        below = np.logical_and.accumulate(cum <= u[:, s] * total, axis=0)
+        t = np.minimum(below.sum(axis=0), r)
+        idx = t * b + chains
+        y += x.ravel()[idx]
 
         # _grow_runs, case by case, as masked updates
-        vt, ct = V[chains, t], C[chains, t]
-        up = (t > 0) & (V[chains, t - 1] == vt + 1)  # merge into the run above
-        C[chains, t - 1] += up
-        V[chains, t] += ~up  # bump in place, or the new run (v+1, 1)
-        C[chains, t] = np.where(up, np.maximum(ct - 1, 0), 1)
+        vt, ct = Vf[idx], Cf[idx]
+        above = idx - b  # for t = 0, negative: the last lane, always zero padding
+        up = Vf[above] == vt + 1  # merge into the run above
+        Cf[above] += up
+        Vf[idx] += ~up  # bump in place, or the new run (v+1, 1)
+        Cf[idx] = np.where(up, np.maximum(ct - 1, 0), 1)
         insert = ~up & (ct > 1)  # the rest of run t moves one lane down
         delete = up & (ct == 1)  # run t has emptied
         r += ~up & (ct != 1)  # an inserted run, or a new bottom run
         r -= delete
         shifted = np.flatnonzero(insert | delete)
         if shifted.size:
-            head = lanes[: m + 1]  # lane m is padding before and after the shift
-            ins = insert[shifted, None]
-            moved = head >= t[shifted, None] + ins
+            head = lanes[: m + 1, None]  # lane m is padding before and after the shift
+            ins = insert[shifted]
+            moved = head >= t[shifted] + ins
             src = np.minimum(np.where(moved, head + np.where(ins, -1, 1), head), m)
-            V[shifted, : m + 1] = V[shifted[:, None], src]
-            C[shifted, : m + 1] = C[shifted[:, None], src]
-            grown = shifted[insert[shifted]]  # old run t, one row shorter, below the new run
-            V[grown, t[grown] + 1] = vt[grown]
-            C[grown, t[grown] + 1] = ct[grown] - 1
-    return y, V[:, 0] - (t == 0)  # first row before the last box
+            V[: m + 1, shifted] = Vf[src * b + shifted]
+            C[: m + 1, shifted] = Cf[src * b + shifted]
+            grown = shifted[ins]  # old run t, one row shorter, below the new run
+            at = (t[grown] + 1) * b + grown
+            Vf[at] = vt[grown]
+            Cf[at] = ct[grown] - 1
+    return y, V[0] - (t == 0)  # first row before the last box
 
 
 def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dict:
@@ -417,11 +431,11 @@ def sample_jack_batch(n: int, alpha, rng: np.random.Generator, size: int) -> dic
 
     Returns arrays ``w`` (standardized content of the partition of n) and
     ``lambda1_prev`` (first-row length at time n-1, the truncation-event
-    statistic).  ``_sweep`` grows _BATCH_ROWS chains at a time on zero-padded
-    run-length arrays, with the uniforms ``rng.random((rows, n - 1))``: read
-    row-major, these are the doubles ``_grow`` draws chain after chain, and
-    with bit-equal weights and the same running-sum total every draw equals
-    ``_grow``'s.
+    statistic).  ``_sweep`` grows _BATCH_ROWS chains at a time on (lanes x
+    chains) run-length arrays, with the uniforms ``rng.random((rows, n - 1))``,
+    which it reads in place: read row-major, these are the doubles ``_grow``
+    draws chain after chain, and with bit-equal weights and the same
+    running-sum total every draw equals ``_grow``'s.
     """
     if n < 2:
         raise ValueError("standardized sampling needs n >= 2")
@@ -531,6 +545,22 @@ def _jack_measure(n: int, a: int, b: int) -> list[tuple[Fraction, int]]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _zero_bias_tables(n: int, a: int, b: int) -> tuple:
+    """The tables of ``check_zero_bias_identity`` at alpha = a/b, built once
+    per (n, a, b) for its per-monomial calls: the Jack measure at n, and per
+    partition of n-1 its chain probability over its pair-weight total, b Y
+    and its pairs (x_i, x_j, scaled weight), all in tuples."""
+    measure = tuple(_jack_measure(n, a, b))
+    tables = []
+    for parts, prob in chain_law(n - 1, Fraction(a, b)).items():
+        xs, probs = _corner_law(_parts_to_runs(parts), a, b)
+        raw = _pair_weights(xs, probs)
+        pairs = tuple((xs[i], xs[j], wt) for (i, j), wt in raw.items())
+        tables.append((prob / sum(raw.values()), _scaled_content(parts, a, b), pairs))
+    return measure, tuple(tables)
+
+
 def check_zero_bias_identity(n: int, alpha, coeffs: Sequence) -> dict:
     """Exact two-sided verification of E[W f(W)] = E[f'(W*)].
 
@@ -554,13 +584,7 @@ def check_zero_bias_identity(n: int, alpha, coeffs: Sequence) -> dict:
     scale2 = alpha * binomial(n, 2)
     scale = float(scale2) ** 0.5
 
-    measure = _jack_measure(n, a, b)
-    pair_tables = []
-    for parts, prob in chain_law(n - 1, alpha).items():
-        xs, probs = _corner_law(_parts_to_runs(parts), a, b)
-        raw = _pair_weights(xs, probs)
-        pair_tables.append((prob / sum(raw.values()), _scaled_content(parts, a, b), xs, raw))
-
+    measure, pair_tables = _zero_bias_tables(n, a, b)
     lhs_total = 0.0
     rhs_total = 0.0
     exact_all = True
@@ -574,10 +598,10 @@ def check_zero_bias_identity(n: int, alpha, coeffs: Sequence) -> dict:
         else:
             rhs_k = sum(
                 weight * sum(
-                    wt * sum((v + xs[i]) ** t * (v + xs[j]) ** (k - 1 - t) for t in range(k))
-                    for (i, j), wt in raw.items()
+                    wt * sum((v + xi) ** t * (v + xj) ** (k - 1 - t) for t in range(k))
+                    for xi, xj, wt in pairs
                 )
-                for weight, v, xs, raw in pair_tables
+                for weight, v, pairs in pair_tables
             ) / b ** (k - 1)  # times scale^-(k-1)
         equal = lhs_k == rhs_k * scale2
         per_monomial[k] = equal

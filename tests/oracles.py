@@ -408,12 +408,18 @@ def argsort_distinct_rows(rng, N: int, m: int, rows: int):
 class ScriptedGenerator:
     """Stand-in for ``np.random.Generator`` whose ``integers`` returns queued
     arrays in order, checking each request's size and range against the next
-    one; ``done`` says whether the whole script was consumed.  A request for
-    no values takes none from the script, as it takes no bits from a real
+    one, and whose ``random()`` returns the queued ``doubles`` one at a time;
+    ``done`` says whether the whole script was consumed.  A request for no
+    values takes none from the script, as it takes no bits from a real
     generator."""
 
-    def __init__(self, *draws):
+    def __init__(self, *draws, doubles=()):
         self.draws = [np.asarray(d, dtype=np.int64) for d in draws]
+        self.doubles = [float(d) for d in doubles]
+
+    def random(self) -> float:
+        assert self.doubles, "unscripted double"
+        return self.doubles.pop(0)
 
     def integers(self, low, high, size=None, dtype=np.int64):
         if np.empty(size, dtype=bool).size == 0:
@@ -426,7 +432,7 @@ class ScriptedGenerator:
 
     @property
     def done(self) -> bool:
-        return not self.draws
+        return not self.draws and not self.doubles
 
 
 def loop_jack_batch(n: int, alpha, rng, size: int) -> dict:

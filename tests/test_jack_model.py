@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import chi2
 from steinlab import jack_model as jm
 
 from oracles import (
+    ScriptedGenerator,
     fraction_chain_law,
     fraction_content_sum,
     fraction_jack_moments,
@@ -321,7 +323,8 @@ class TestBatchSweep:
             for i, rs in enumerate(runs):
                 v[i, : r[i]], c[i, : r[i]] = zip(*rs)
             for alpha in alphas:
-                x, weights = jm._batch_corner_law(v, c, r, alpha)
+                x, weights = jm._batch_corner_law(v.T, c.T, r, alpha)
+                x, weights = x.T, weights.T
                 for i, rs in enumerate(runs):
                     contents, want = jm._corner_law(rs, alpha)
                     assert x[i, : r[i] + 1].tolist() == contents
@@ -337,6 +340,32 @@ class TestBatchSweep:
         monkeypatch.setattr(jm, "_BATCH_ROWS", 7)
         for n, alpha in ((40, Fraction(1)), (64, Fraction(512)), (30, Fraction(1, 3))):
             assert_sweep_equals_loop(n, alpha, 0, 23)
+
+    @pytest.mark.parametrize("n, alpha", [(16, 64), (50, 1), (30, Fraction(1, 3))])
+    def test_pick_rule_at_extreme_uniforms(self, n, alpha):
+        # all-lowest draws take the first corner; all-highest ones reach the
+        # first running sum above u*total, or else the bottom corner; at
+        # alpha = 1 the first step's weights are 1/2, 1/2, so 0.5 ties the
+        # first running sum and must pass it
+        top = np.nextafter(1.0, 0.0)
+        u = np.array([[0.0] * (n - 1), [top] * (n - 1), [0.5] + [0.0] * (n - 2)])
+        y, lam1_prev = jm._sweep(n, float(alpha), u)
+        rng = ScriptedGenerator(doubles=u.ravel())
+        want = loop_jack_batch(n, alpha, rng, len(u))
+        assert rng.done
+        assert np.array_equal(y / jm.content_scale(n, alpha), want["w"])
+        assert np.array_equal(lam1_prev, want["lambda1_prev"])
+
+    def test_sweep_memory_below_half_the_uniforms(self):
+        # the sweep reads u in place: a copy of it would alone exceed the bound
+        u = np.random.default_rng(0).random((1000, 399))
+        tracemalloc.start()
+        try:
+            jm._sweep(400, 512.0, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes / 2
 
 
 class TestDegeneracyAndRegion:

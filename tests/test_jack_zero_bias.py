@@ -206,6 +206,18 @@ class TestZeroBiasIdentity:
                     assert list(got.items()) == list(want.items())
                     assert list(got["per_monomial"].items()) == list(want["per_monomial"].items())
 
+    def test_tables_built_once_per_point(self, monkeypatch):
+        built = []
+        chain_law = jm.chain_law
+        monkeypatch.setattr(jm, "chain_law", lambda n, a: built.append(n) or chain_law(n, a))
+        jm._zero_bias_tables.cache_clear()
+        alpha = Fraction(7, 3)
+        for k in range(6):
+            got = jm.check_zero_bias_identity(6, alpha, [0] * k + [1])
+            want = fraction_zero_bias_identity(6, alpha, [0] * k + [1])
+            assert list(got.items()) == list(want.items())
+        assert built == [5]
+
     def test_guards(self):
         with pytest.raises(ValueError):
             jm.check_zero_bias_identity(9, 1, [0, 1])
