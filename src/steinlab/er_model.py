@@ -34,6 +34,7 @@ from .stein_core import DiscreteLaw, empirical_kolmogorov, law_from_pairs
 
 DEFAULT_THRESHOLDS = {"n_bar": 344, "m_bar": 28, "c_bar": 1}
 _BATCH_ROWS = 10_000  # graphs per sampler batch; the rng stream depends on it
+_BLOCK = 1 << 16  # slots per sampler row block; the draws do not depend on it
 
 
 @dataclass(frozen=True)
@@ -461,98 +462,151 @@ def _sample_distinct_rows(rng: np.random.Generator, N: int, m: int, rows: int) -
     every entry whose slot repeats one at a lower position of its row, and
     the next pass checks only the rows it redrew.  Pass 1 and passes 3 on
     sort those rows (``_redraw_repeats``); pass 2 looks up only the entries
-    pass 1 redrew (``_redraw_second_pass``).  The packed sort keys
-    slot * m + position are int32 when N * m <= 2**31 and int64 otherwise.
+    pass 1 redrew (``_redraw_second_pass``).
+
+    The slots are int32 when N <= 2**31 and int64 otherwise, and every call
+    draws in that dtype.  The draws rest on numpy's ``integers`` giving, for
+    N <= 2**31, the same values in int32 as in int64 and leaving the
+    generator in the same state.  The packed sort keys slot * m + position
+    are int32 when N * m <= 2**31 and int64 otherwise.  Every pass runs over
+    row blocks of about _BLOCK entries, so besides the slots and the indices
+    it redraws it holds only pass 1's sorted keys, kept for pass 2, and one
+    block: about 8 bytes of transient memory per drawn slot when both are
+    int32.
     """
-    out = rng.integers(0, N, size=(rows, m), dtype=np.int64)
     key_type = np.int32 if N * m <= 2**31 else np.int64
-    keys, slot, flat = _redraw_repeats(rng, out, np.arange(rows), N, key_type)
+    out = rng.integers(0, N, size=(rows, m), dtype=np.int32 if N <= 2**31 else np.int64)
+    keys, flat = _redraw_repeats(rng, out, np.arange(rows), N, key_type, keep=True)
     if flat.size:
-        flat = _redraw_second_pass(rng, out, keys, slot, flat, N)
+        flat = _redraw_second_pass(rng, out, keys, flat, N)
+    del keys  # passes 3 on sort one scratch block at a time
     while flat.size:
         live = np.flatnonzero(np.bincount(flat // m))  # the rows just redrawn
-        flat = _redraw_repeats(rng, out, live, N, key_type)[2]
+        flat = _redraw_repeats(rng, out, live, N, key_type)[1]
     return out
 
 
-def _redraw_repeats(rng, out, live, N, key_type):
+def _redraw_repeats(rng, out, live, N, key_type, keep=False):
     """One sorting pass over the rows ``live`` (sorted) of ``out``.
 
     Sorts each row's packed keys slot * m + position, so a slot's first
-    occurrence sorts first, and redraws its later occurrences.  Returns the
-    sorted keys, their slots and the redrawn flat indices, in row-major order.
+    occurrence sorts first, and redraws its later occurrences.  Works on
+    about _BLOCK entries of whole rows at a time.  With ``keep`` the keys of
+    block after block fill one (live, m) array, returned sorted; otherwise
+    every block reuses one scratch block.  Returns the keys and the redrawn
+    flat indices, in row-major order.
     """
     m = out.shape[1]
-    # ``live`` is sorted, so at full size it is every row and needs no gather
-    keys = (out if live.size == out.shape[0] else out[live]).astype(key_type)
-    keys *= m
-    keys += np.arange(m, dtype=key_type)
-    keys.sort(axis=1)
-    slot = keys // m
-    r, c = np.divmod(np.flatnonzero(slot[:, 1:] == slot[:, :-1]), m - 1)
-    flat = np.sort(live[r] * m + keys[r, c + 1] % m)
-    np.put(out, flat, rng.integers(0, N, size=flat.size))
-    return keys, slot, flat
+    step = max(1, _BLOCK // m)
+    whole = live.size == out.shape[0]  # ``live`` is sorted, so it is every row
+    keys = np.empty((live.size if keep else min(step, live.size), m), dtype=key_type)
+    position = np.arange(m, dtype=key_type)
+    found = [np.empty(0, dtype=np.intp)]
+    for i in range(0, live.size, step):
+        rows = live[i : i + step]
+        block = keys[i : i + rows.size] if keep else keys[: rows.size]
+        # in the key dtype, as int32 slots times m may pass 2**31
+        np.multiply(out[i : i + rows.size] if whole else out[rows], m, out=block, dtype=key_type)
+        block += position
+        block.sort(axis=1)
+        slot = block // m
+        r, c = np.divmod(np.flatnonzero(slot[:, 1:] == slot[:, :-1]), m - 1)
+        # within a row the repeats come in slot order, so sort them by position
+        found.append(np.sort(rows[r] * m + block[r, c + 1] % m))
+    flat = np.concatenate(found)
+    np.put(out, flat, rng.integers(0, N, size=flat.size, dtype=out.dtype))
+    return keys, flat
 
 
-def _redraw_second_pass(rng, out, keys, slot, flat, N):
-    """Pass 2, given pass 1's sorted ``keys`` and ``slot`` over every row and
-    the flat indices ``flat`` it redrew; returns the flat indices it redraws.
+def _redraw_second_pass(rng, out, keys, flat, N):
+    """Pass 2, given pass 1's sorted ``keys`` of every row and the flat
+    indices ``flat`` it redrew; returns the flat indices it redraws.
 
     The entries pass 1 kept hold distinct slots within a row, so a repeat
-    involves a redrawn entry.  Each redrawn entry looks up row * N + new slot
-    in g, the sorted row * N + slot of pass 1 (int32, built over ``slot`` in
-    place, when rows * N <= 2**31; int64 otherwise).  g still holds the
-    redrawn entries' old slots, but each of those is first held by a kept
-    entry at a lower position, so the first match is the kept entry holding
-    the slot, if any.  Among the redrawn entries sharing a new slot, every
-    one but the lowest position repeats it; the lowest repeats a kept entry
-    at a lower position, or else makes the kept entry at a higher position
-    repeat it, so no index is listed twice.
+    involves a redrawn entry.  Each redrawn entry looks up, by binary search
+    in its row of ``keys``, the first key >= new slot * m.  The keys still
+    hold the redrawn entries' old slots, but each of those is first held by
+    a kept entry at a lower position, so the row's first key of the new
+    slot, if any, is the kept entry holding it.  Among the redrawn entries
+    sharing a new slot, every one but the lowest position repeats it; the
+    lowest repeats a kept entry at a lower position, or else makes the kept
+    entry at a higher position repeat it, so no index is listed twice.  The
+    redrawn entries are taken about _BLOCK at a time, in runs of whole rows.
     """
-    rows, m = out.shape
-    g = slot if rows * N <= 2**31 else slot.astype(np.int64, copy=False)
-    g += (np.arange(rows, dtype=g.dtype) * N)[:, None]
-    g = g.ravel()
-    q = flat // m * N + out.ravel()[flat]
-    order = np.argsort(q, kind="stable")  # by row and new slot, then position
-    q, flat = q[order].astype(g.dtype), flat[order]
-    idx = np.minimum(np.searchsorted(g, q), g.size - 1)  # a query past g's end misses
-    hit = g[idx] == q
-    gap = keys.ravel()[idx] % m - flat % m  # kept position minus redrawn position
-    later = np.zeros(q.size, dtype=bool)
-    later[1:] = q[1:] == q[:-1]
-    redo = np.sort(np.concatenate([
-        flat[later | (hit & (gap < 0))],  # redrawn entries that repeat a slot
-        (flat + gap)[hit & (gap > 0) & ~later],  # kept entries that now repeat one
-    ]))
-    np.put(out, redo, rng.integers(0, N, size=redo.size))
+    m = out.shape[1]
+    slots, sorted_keys = out.ravel(), keys.ravel()
+    # cut at the start of the row of every _BLOCK-th entry, once per row
+    cuts = np.searchsorted(flat, flat[::_BLOCK] // m * m).tolist()
+    cuts = list(dict.fromkeys(cuts)) + [flat.size]
+    found = [np.empty(0, dtype=np.intp)]
+    for a, z in zip(cuts, cuts[1:]):
+        f = flat[a:z]
+        new = slots[f]
+        order = np.argsort(f // m * N + new, kind="stable")  # by row and new slot, then position
+        f, new = f[order], new[order]
+        target = new.astype(keys.dtype) * m  # the key of the new slot at position 0
+        start = f - f % m  # the row's first index
+        at, width = start.copy(), m  # a branch-free lower bound over each row
+        while width > 1:
+            half = width // 2
+            np.add(at, half, out=at, where=sorted_keys[at + half] < target)
+            width -= half
+        at += sorted_keys[at] < target  # the row's first key >= target, or the row's end
+        kept = sorted_keys[np.minimum(at, sorted_keys.size - 1)]
+        hit = (at - start < m) & (kept - target < m)
+        gap = kept % m - f % m  # kept position minus redrawn position
+        later = np.zeros(f.size, dtype=bool)
+        later[1:] = (start[1:] == start[:-1]) & (new[1:] == new[:-1])
+        found.append(np.sort(np.concatenate([
+            f[later | (hit & (gap < 0))],  # redrawn entries that repeat a slot
+            (f + gap)[hit & (gap > 0) & ~later],  # kept entries that now repeat one
+        ])))
+    redo = np.concatenate(found)
+    np.put(out, redo, rng.integers(0, N, size=redo.size, dtype=out.dtype))
     return redo
 
 
 def sample_isolated_counts(params: ErParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized draws of the isolated-vertex count, _BATCH_ROWS graphs at a time.
 
-    Each batch draws its graphs' edge slots with ``_sample_distinct_rows``,
-    marks both endpoints of every edge in one flat (b * n,) bool array at
-    row * n + vertex, and counts the unmarked vertices of each row.
+    Each batch draws its graphs' edge slots with ``_sample_distinct_rows``
+    and counts them with ``_count_isolated``; a batch's slots are freed
+    before the next batch draws.  A batch of b graphs holds its int32 slots
+    and, while they are drawn, pass 1's int32 keys (about 8 bytes per drawn
+    slot in all), then the slots and a (b * n,) bool array while counting,
+    besides one row block of about _BLOCK slots.
     """
     n, m, N = params.n, params.m, params.slots
-    first, second = np.triu_indices(n, 1)  # 0-based endpoints in pair_table order
+    ends = np.triu_indices(n, 1)  # 0-based endpoints in pair_table order
     out = np.empty(size, dtype=np.int64)
     for done in range(0, size, _BATCH_ROWS):
         b = min(_BATCH_ROWS, size - done)
-        slots = _sample_distinct_rows(rng, N, m, b)
-        base = np.arange(0, b * n, n)[:, None]
-        touched = np.zeros(b * n, dtype=bool)
-        flat = np.empty_like(slots)
-        for ends in (first, second):
+        out[done : done + b] = _count_isolated(_sample_distinct_rows(rng, N, m, b), n, ends)
+    return out
+
+
+def _count_isolated(slots: np.ndarray, n: int, ends) -> np.ndarray:
+    """Isolated vertices of each row of ``slots``, given the endpoint tables.
+
+    Marks both endpoints of every edge in one flat (rows * n,) bool array at
+    row * n + vertex, and counts the unmarked vertices of each row.  The
+    marks are made one row block of about _BLOCK slots at a time, through
+    one intp endpoint buffer.
+    """
+    rows, m = slots.shape
+    step = max(1, _BLOCK // m)
+    touched = np.zeros(rows * n, dtype=bool)
+    buffer = np.empty(min(rows, step) * m, dtype=np.intp)
+    for i in range(0, rows, step):
+        block = slots[i : i + step]
+        flat = buffer[: block.size].reshape(block.shape)
+        base = np.arange(i * n, (i + block.shape[0]) * n, n)[:, None]
+        for vertex in ends:
             # "clip" (the slots are in range) lets take write ``flat`` unbuffered
-            np.take(ends, slots, out=flat, mode="clip")
+            np.take(vertex, block, out=flat, mode="clip")
             flat += base
             touched[flat] = True
-        out[done : done + b] = n - np.count_nonzero(touched.reshape(b, n), axis=1)
-    return out
+    return n - np.count_nonzero(touched.reshape(rows, n), axis=1)
 
 
 def kolmogorov_estimate(

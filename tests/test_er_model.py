@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,59 @@ from oracles import (
     slot_to_pair,
     taylor_shift_y_law,
 )
+
+
+DISTINCT_POINTS = [
+    (3, 1), (3, 2), (6, 5), (15, 14), (28, 5), (45, 44), (4950, 100), (79_800, 400),
+    # int64 packed keys (N * m > 2**31), then two collision-dense points
+    (7_998_000, 300), (66, 40), (190, 150),
+]
+# each pass-2 case, as queued draws of 4 slots out of 10
+SECOND_PASS_SCRIPTS = [
+    # the redrawn position 1 takes slot 5 from the kept position 2
+    [[[0, 0, 5, 7]], [5], [3]],
+    # the redrawn position 2 lands on the slot kept at position 0
+    [[[5, 0, 0, 7]], [5], [3]],
+    # the redrawn positions 1 and 3 land on one new slot
+    [[[0, 0, 1, 1]], [6, 6], [8]],
+    # the redrawn position 2 draws its own old slot
+    [[[0, 2, 0, 3]], [0], [4]],
+    # all four at once, one row each; the last row's pass-2 draw
+    # repeats its old slot again, so a third pass redraws it
+    [
+        [[0, 0, 5, 7], [5, 0, 0, 7], [0, 0, 1, 1], [0, 2, 0, 3]],
+        [5, 5, 6, 6, 0],
+        [3, 3, 8, 0],
+        [4],
+    ],
+]
+# the last row's redrawn position 1 draws its own old slot N - 1 again
+LOOKUP_PAST_INT32 = [[[1, 2], [3, 4], [10**9 - 1, 10**9 - 1]], [10**9 - 1], [5]]
+
+
+def _block(rows: int, m: int) -> int:
+    """A sampler block size giving row blocks of ``rows`` rows of m slots;
+    1 also gives pass 2 one row per block."""
+    return 1 if rows == 1 else rows * m
+
+
+def assert_distinct_rows_match_oracle(N, m):
+    # same draws and same rng stream as stable-argsort rejection over all rows
+    for rows in (1, 7, 1000):
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = er._sample_distinct_rows(rng, N, m, rows)
+            assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, m, rows))
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+
+def assert_script_matches_oracle(script, N, m):
+    rows = len(script[0])
+    rng, ref_rng = ScriptedGenerator(*script), ScriptedGenerator(*script)
+    got = er._sample_distinct_rows(rng, N, m, rows)
+    assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, m, rows))
+    assert rng.done and ref_rng.done
+    return got
 
 
 class TestSlotEnumeration:
@@ -89,59 +143,73 @@ class TestSampling:
             sd = math.sqrt(p * (1 - p) / y.size)
             assert abs(np.mean(y == value) - p) <= 4 * sd + 1e-9
 
-    @pytest.mark.parametrize(
-        "N, m",
-        [(3, 1), (3, 2), (6, 5), (15, 14), (28, 5), (45, 44), (4950, 100), (79_800, 400)]
-        # int64 packed keys (N * m > 2**31), then two collision-dense points
-        + [(7_998_000, 300), (66, 40), (190, 150)],
-    )
+    @pytest.mark.parametrize("N, m", DISTINCT_POINTS)
     def test_distinct_rows_match_argsort_oracle(self, N, m):
-        # same draws and same rng stream as stable-argsort rejection over all rows
-        for rows in (1, 7, 1000):
-            for seed in range(4):
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = er._sample_distinct_rows(rng, N, m, rows)
-                assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, m, rows))
-                assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+        assert_distinct_rows_match_oracle(N, m)
 
-    @pytest.mark.parametrize(
-        "script",
-        [
-            # the redrawn position 1 takes slot 5 from the kept position 2
-            [[[0, 0, 5, 7]], [5], [3]],
-            # the redrawn position 2 lands on the slot kept at position 0
-            [[[5, 0, 0, 7]], [5], [3]],
-            # the redrawn positions 1 and 3 land on one new slot
-            [[[0, 0, 1, 1]], [6, 6], [8]],
-            # the redrawn position 2 draws its own old slot
-            [[[0, 2, 0, 3]], [0], [4]],
-            # all four at once, one row each; the last row's pass-2 draw
-            # repeats its old slot again, so a third pass redraws it
-            [
-                [[0, 0, 5, 7], [5, 0, 0, 7], [0, 0, 1, 1], [0, 2, 0, 3]],
-                [5, 5, 6, 6, 0],
-                [3, 3, 8, 0],
-                [4],
-            ],
-        ],
-    )
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    @pytest.mark.parametrize("N, m", DISTINCT_POINTS)
+    def test_distinct_rows_match_argsort_oracle_in_small_blocks(self, monkeypatch, N, m, block_rows):
+        monkeypatch.setattr(er, "_BLOCK", _block(block_rows, m))
+        assert_distinct_rows_match_oracle(N, m)
+
+    @pytest.mark.parametrize("script", SECOND_PASS_SCRIPTS)
     def test_second_pass_cases_match_argsort_oracle(self, script):
         # each draw's size is checked, so each script forces its pass-2 case
-        rows = len(script[0])
-        rng, ref_rng = ScriptedGenerator(*script), ScriptedGenerator(*script)
-        got = er._sample_distinct_rows(rng, 10, 4, rows)
-        assert np.array_equal(got, argsort_distinct_rows(ref_rng, 10, 4, rows))
-        assert rng.done and ref_rng.done
+        assert_script_matches_oracle(script, 10, 4)
 
     def test_second_pass_lookup_past_int32(self):
         # int32 keys (N * m <= 2**31), but row * N + slot passes 2**31 on the
         # last row, whose redrawn position 1 draws its own old slot
-        N = 10**9
-        script = [[[1, 2], [3, 4], [N - 1, N - 1]], [N - 1], [5]]
-        rng, ref_rng = ScriptedGenerator(*script), ScriptedGenerator(*script)
-        got = er._sample_distinct_rows(rng, N, 2, 3)
-        assert np.array_equal(got, argsort_distinct_rows(ref_rng, N, 2, 3))
-        assert got[2].tolist() == [N - 1, 5] and rng.done and ref_rng.done
+        got = assert_script_matches_oracle(LOOKUP_PAST_INT32, 10**9, 2)
+        assert got[2].tolist() == [10**9 - 1, 5]
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_second_pass_cases_in_small_blocks(self, monkeypatch, block_rows):
+        for script, N, m in [(s, 10, 4) for s in SECOND_PASS_SCRIPTS] + [
+            (LOOKUP_PAST_INT32, 10**9, 2)
+        ]:
+            monkeypatch.setattr(er, "_BLOCK", _block(block_rows, m))
+            assert_script_matches_oracle(script, N, m)
+
+    @pytest.mark.parametrize("N", [2, 6, 79_800, 2**31])
+    def test_int32_draws_equal_int64_draws(self, N):
+        # the sampler's int32 slots rest on this: same values, same next draw
+        for size in (1, 7, 1001, (300, 400)):
+            rng, ref_rng = np.random.default_rng(N), np.random.default_rng(N)
+            got = rng.integers(0, N, size=size, dtype=np.int32)
+            assert np.array_equal(got, ref_rng.integers(0, N, size=size, dtype=np.int64))
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    def test_slot_dtype_follows_the_slot_count(self):
+        for N, dtype in ((2**31, np.int32), (2**31 + 1, np.int64)):
+            assert er._sample_distinct_rows(np.random.default_rng(0), N, 3, 2).dtype == dtype
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_isolated_counts_do_not_depend_on_the_block(self, monkeypatch, block_rows):
+        for n, m in ((8, 5), (30, 200), (400, 400)):
+            params = er.ErParams(n, m)
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            want = er.sample_isolated_counts(params, ref_rng, 777)
+            with monkeypatch.context() as patch:
+                patch.setattr(er, "_BLOCK", _block(block_rows, m))
+                got = er.sample_isolated_counts(params, rng, 777)
+            assert np.array_equal(got, want)
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+    def test_isolated_counts_memory_within_two_and_a_half_slot_arrays(self):
+        # 5000 x 400 int32 slots take 8 MB; the sorted keys kept for pass 2
+        # take as much again, and a full-size temporary would pass the bound
+        params, size = er.ErParams(400, 400), 5000
+        er.sample_isolated_counts(params, np.random.default_rng(0), 10)  # lazy imports
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            er.sample_isolated_counts(params, rng, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size * params.m * 4
 
     @settings(max_examples=200, deadline=None)
     @given(
