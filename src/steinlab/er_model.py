@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -213,65 +213,6 @@ def domain_label(params: ErParams) -> str:
     return "central"
 
 
-# ---------------------------------------------------------------------------
-# The redistribution coupling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RedistributionResult:
-    relocated_slots: frozenset
-    b_v: int
-
-
-def lazy_permutation(rng: np.random.Generator, N: int) -> Iterator[int]:
-    """Uniform permutation of 1..N, materializing only the consumed prefix."""
-    vals: dict[int, int] = {}
-    for i in range(N):
-        j = int(rng.integers(i, N))
-        out = vals.get(j, j)
-        vals[j] = vals.get(i, i)
-        yield out + 1
-
-
-def redistribute(graph: ErGraphState, v: int, sigma_v: Iterable[int]) -> RedistributionResult:
-    """Remove vertex v and relocate its edges onto candidate slots.
-
-    ``sigma_v`` is consumed in order; a candidate slot is accepted when it is
-    not incident to v and not already an edge.  Deterministic given the graph
-    and the candidate sequence.  Returns the accepted slots and b_v = Y - Y_v,
-    where Y_v, the isolated-vertex count of the coupled graph, is recounted
-    from its edges.  The exhaustive Stein-identity check does not recount: it
-    reads the law of Y_v from the edge chain.
-    """
-    return _redistribute(graph, degrees(graph), v, sigma_v)
-
-
-def _redistribute(
-    graph: ErGraphState, deg: list[int], v: int, sigma_v: Iterable[int]
-) -> RedistributionResult:
-    """``redistribute`` given the degree list of ``graph``."""
-    params = graph.params
-    n, m = params.n, params.m
-    if m > binomial(n - 1, 2):
-        raise ValueError("redistribution cannot terminate: m > C(n-1, 2)")
-    table = pair_table(n)
-    edges = graph.edge_slots()
-    d_v = deg[v - 1]
-
-    relocated = set()
-    it = iter(sigma_v)
-    while len(relocated) < d_v:
-        slot = next(it)
-        if v not in table[slot - 1] and slot not in edges:
-            relocated.add(slot)
-
-    kept = [s for s in edges if v not in table[s - 1]]
-    # v keeps no edge: it is one of the zeros but not a vertex of the coupled graph
-    y_v = _degrees_of_edges(kept + list(relocated), table, n).count(0) - 1
-    return RedistributionResult(relocated_slots=frozenset(relocated), b_v=deg.count(0) - y_v)
-
-
 class DegenerateParamsError(ValueError):
     pass
 
@@ -282,33 +223,6 @@ def _nondegenerate_moments(params: ErParams) -> tuple[Fraction, Fraction]:
     if s2 == 0:
         raise DegenerateParamsError(f"sigma^2 = 0 at {params}")
     return mu, s2
-
-
-@dataclass(frozen=True)
-class ErCouplingSample:
-    w: float
-    w_prime: float
-    g: float
-    d: float
-    chosen_vertex: int
-    chosen_degree: int
-
-
-def coupling_sample(params: ErParams, rng: np.random.Generator) -> ErCouplingSample:
-    """One standardized draw (W, W', G, D) from the coupling construction."""
-    mu, s2 = _nondegenerate_moments(params)
-    sigma = float(s2) ** 0.5
-    graph = sample_graph(params, rng)
-    v = int(rng.integers(1, params.n + 1))
-    res = redistribute(graph, v, lazy_permutation(rng, params.slots))
-    deg = degrees(graph)
-    y = deg.count(0)
-    y_v = y - res.b_v
-    d_v = deg[v - 1]
-    w = (y - float(mu)) / sigma
-    w_prime = (y_v - float(mu)) / sigma
-    g = -(params.n / sigma) * ((1 if d_v == 0 else 0) - float(mu) / params.n)
-    return ErCouplingSample(w, w_prime, g, w_prime - w, v, d_v)
 
 
 # ---------------------------------------------------------------------------
@@ -624,27 +538,3 @@ def kolmogorov_estimate(
     report["rate"] = rate(params)
     report["delta_times_rate"] = report["delta_hat"] * report["rate"]
     return report
-
-
-def gd_conditional_variance_estimate(
-    params: ErParams, rng: np.random.Generator, samples: int
-) -> float:
-    """sqrt of the Monte Carlo variance of E(GD | pi, Sigma).
-
-    The inner expectation over the chosen vertex is computed exactly per
-    sampled state: (1/sigma^2) sum_v (I_v - mu/n) B_v, with an independent
-    candidate stream per vertex.
-    """
-    mu, s2 = _nondegenerate_moments(params)
-    n = params.n
-    mu_f, s2_f = float(mu), float(s2)
-    vals = np.empty(samples)
-    for i in range(samples):
-        graph = sample_graph(params, rng)
-        deg = degrees(graph)
-        total = 0.0
-        for v in range(1, n + 1):
-            res = _redistribute(graph, deg, v, lazy_permutation(rng, params.slots))
-            total += ((1 if deg[v - 1] == 0 else 0) - mu_f / n) * res.b_v
-        vals[i] = total / s2_f
-    return float(np.sqrt(max(vals.var(ddof=1), 0.0)))

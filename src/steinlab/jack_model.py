@@ -339,12 +339,17 @@ def _batch_corner_law(v: np.ndarray, c: np.ndarray, r: np.ndarray, alpha: float)
     at least one zero lane.  With S_t the rows above run t, lane t < r_i holds
     the corner x_t = alpha v_t - S_t and the removable box
     y_t = alpha v_t - (S_t + c_t), and the zeros supply the bottom corner
-    x_r = alpha 0 - S_r.  The products run in ``_corner_law``'s order, with a
-    factor 1.0 on missing lanes.  Returns the contents x and the weights, also
-    (lanes x chains), 0 past each bottom corner, where nothing is divided.
+    x_r = alpha 0 - S_r.  S is an exact integer running sum, one whole-row
+    addition per lane: numpy runs an axis-0 ``cumsum`` one column at a time,
+    which costs 20-35 us on 2-6 lanes of 1100 chains.  The products run in
+    ``_corner_law``'s order, with a factor 1.0 on missing lanes.  Returns the
+    contents x and the weights, also (lanes x chains), 0 past each bottom
+    corner, where nothing is divided.
     """
     m, b = v.shape
-    S = np.cumsum(c, axis=0) - c
+    S = np.zeros_like(c)  # exclusive running sum of the counts, lane by lane
+    for above, counts, rows in zip(S, c, S[1:]):
+        np.add(above, counts, out=rows)
     x = alpha * v - S
     ys = alpha * v - (S + c)
     lanes = np.arange(m)
@@ -365,6 +370,18 @@ def _batch_corner_law(v: np.ndarray, c: np.ndarray, r: np.ndarray, alpha: float)
     return x, np.divide(num, den, out=np.zeros((m, b)), where=lanes[:, None] <= r)
 
 
+def _batch_pick(cum: np.ndarray, level: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_pick``'s first-hit rule per chain over (lanes x chains) running sums:
+    the number of leading lanes whose running sum is <= ``level``, at most r
+    (the bottom corner).  The leading run is a running ``and`` over the lanes,
+    so a lane below ``level`` after a lane above it is not counted, whether or
+    not the running sums increase."""
+    below = cum <= level
+    for prev, lane in zip(below, below[1:]):
+        np.logical_and(prev, lane, out=lane)
+    return np.minimum(below.sum(axis=0), r)
+
+
 def _sweep(n: int, alpha: float, u: np.ndarray):
     """``_grow`` for len(u) chains at once, one box per numpy step.
 
@@ -373,10 +390,13 @@ def _sweep(n: int, alpha: float, u: np.ndarray):
     V and counts C of shape (lanes x chains), so that every numpy step runs
     along contiguous rows over all chains, and the run count r.
     ``_batch_corner_law`` gives the weights of ``_float_law`` bit for bit.
-    The pick is ``_pick``'s first-hit rule: the first lane whose running sum
-    of the weights exceeds u times their total, else the bottom corner, so
-    every pick and content equals the scalar one.  Returns the content sums
-    and the first rows at time n-1.
+    Their running sum is taken in place, one whole-row addition per lane,
+    which adds the same doubles in the same order as ``np.cumsum`` and
+    ``_pick``, so the total is the scalar one.  ``_batch_pick`` is
+    ``_pick``'s first-hit rule: the first lane whose running sum exceeds u
+    times the total, else the bottom corner, so every pick and content
+    equals the scalar one.  Returns the content sums and the first rows at
+    time n-1.
     """
     b = len(u)
     width = math.isqrt(2 * n) + 3  # a partition of n has at most sqrt(2n) runs
@@ -390,13 +410,12 @@ def _sweep(n: int, alpha: float, u: np.ndarray):
     y = np.zeros(b)
     for s in range(n - 1):
         m = int(r.max()) + 1  # lanes in use: every run and the bottom corner
-        x, weights = _batch_corner_law(V[:m], C[:m], r, alpha)
-        cum = np.cumsum(weights, axis=0)
+        x, cum = _batch_corner_law(V[:m], C[:m], r, alpha)  # the weights, summed below
+        for prev, lane in zip(cum, cum[1:]):  # in place, in np.cumsum's order
+            np.add(prev, lane, out=lane)
         total = cum[-1]
         _check_total(total[np.abs(total - 1.0).argmax()])
-        # the leading lanes whose running sum has not passed u*total, at most r
-        below = np.logical_and.accumulate(cum <= u[:, s] * total, axis=0)
-        t = np.minimum(below.sum(axis=0), r)
+        t = _batch_pick(cum, u[:, s] * total, r)
         idx = t * b + chains
         y += x.ravel()[idx]
 

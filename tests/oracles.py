@@ -2,10 +2,16 @@
 
 Each oracle recomputes its target quantity by direct enumeration or
 recurrence, along a different route than the implementation under test.
-Only ``loop_jack_batch`` and ``two_call_jack_row`` import steinlab
-internals.  The first replays the scalar growth loop, one chain at a time,
-that the vectorized batch sweep must equal; the second builds a jack-report
-row from one sampler call per estimate, which the one-sweep row must equal.
+Four groups import steinlab internals.  ``loop_jack_batch`` replays the
+scalar growth loop, one chain at a time, that the vectorized batch sweep
+must equal.  ``axis_scan_sweep`` and ``axis_scan_corner_law`` are the batch
+sweep as it was with axis-0 ``np.cumsum`` and ``np.logical_and.accumulate``
+scans, which the lane-by-lane sweep must equal bit for bit.
+``two_call_jack_row`` builds a jack-report row from one sampler call per
+estimate, which the one-sweep row must equal.  The per-draw redistribution
+coupling (``redistribute``, ``lazy_permutation``, ``coupling_sample`` and
+``gd_conditional_variance_estimate``) is the literal construction behind the
+exhaustive Stein-identity check's reductions, on the package's graph state.
 The exact Jack quantities (content sum, chain law, content moments and the
 zero-bias identity) have Fraction references here, on the hook-product
 measure and transition law with unscaled contents, for the integer-scaled
@@ -23,13 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from steinlab import cli, jack_model as jm
+from steinlab import cli, er_model as er, jack_model as jm
 from steinlab.jack_model import _grow, content_scale, enumerate_partitions
 from steinlab.stein_core import kolmogorov_discrete_vs_normal
 
@@ -234,6 +241,112 @@ def b_v_decomposition(graph, v: int, relocated_slots) -> int:
         + sum(1 for w in receiving if deg[w] == 0)
         - sum(1 for w in neighbors - receiving if deg[w] == 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# The redistribution coupling, one draw at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RedistributionResult:
+    relocated_slots: frozenset
+    b_v: int
+
+
+def lazy_permutation(rng: np.random.Generator, N: int) -> Iterator[int]:
+    """Uniform permutation of 1..N, materializing only the consumed prefix."""
+    vals: dict[int, int] = {}
+    for i in range(N):
+        j = int(rng.integers(i, N))
+        out = vals.get(j, j)
+        vals[j] = vals.get(i, i)
+        yield out + 1
+
+
+def redistribute(graph, v: int, sigma_v: Iterable[int]) -> RedistributionResult:
+    """Remove vertex v and relocate its edges onto candidate slots.
+
+    ``sigma_v`` is consumed in order; a candidate slot is accepted when it is
+    not incident to v and not already an edge.  Deterministic given the graph
+    and the candidate sequence.  Returns the accepted slots and b_v = Y - Y_v,
+    where Y_v, the isolated-vertex count of the coupled graph, is recounted
+    from its edges.  The exhaustive Stein-identity check does not recount: it
+    reads the law of Y_v from the edge chain.
+    """
+    return _redistribute(graph, er.degrees(graph), v, sigma_v)
+
+
+def _redistribute(graph, deg: list[int], v: int, sigma_v: Iterable[int]) -> RedistributionResult:
+    """``redistribute`` given the degree list of ``graph``."""
+    params = graph.params
+    n, m = params.n, params.m
+    if m > math.comb(n - 1, 2):
+        raise ValueError("redistribution cannot terminate: m > C(n-1, 2)")
+    table = er.pair_table(n)
+    edges = graph.edge_slots()
+    d_v = deg[v - 1]
+
+    relocated = set()
+    it = iter(sigma_v)
+    while len(relocated) < d_v:
+        slot = next(it)
+        if v not in table[slot - 1] and slot not in edges:
+            relocated.add(slot)
+
+    kept = [s for s in edges if v not in table[s - 1]]
+    # v keeps no edge: it is one of the zeros but not a vertex of the coupled graph
+    y_v = er._degrees_of_edges(kept + list(relocated), table, n).count(0) - 1
+    return RedistributionResult(relocated_slots=frozenset(relocated), b_v=deg.count(0) - y_v)
+
+
+@dataclass(frozen=True)
+class ErCouplingSample:
+    w: float
+    w_prime: float
+    g: float
+    d: float
+    chosen_vertex: int
+    chosen_degree: int
+
+
+def coupling_sample(params, rng: np.random.Generator) -> ErCouplingSample:
+    """One standardized draw (W, W', G, D) from the coupling construction."""
+    mu, s2 = er._nondegenerate_moments(params)
+    sigma = float(s2) ** 0.5
+    graph = er.sample_graph(params, rng)
+    v = int(rng.integers(1, params.n + 1))
+    res = redistribute(graph, v, lazy_permutation(rng, params.slots))
+    deg = er.degrees(graph)
+    y = deg.count(0)
+    y_v = y - res.b_v
+    d_v = deg[v - 1]
+    w = (y - float(mu)) / sigma
+    w_prime = (y_v - float(mu)) / sigma
+    g = -(params.n / sigma) * ((1 if d_v == 0 else 0) - float(mu) / params.n)
+    return ErCouplingSample(w, w_prime, g, w_prime - w, v, d_v)
+
+
+def gd_conditional_variance_estimate(params, rng: np.random.Generator, samples: int) -> float:
+    """sqrt of the Monte Carlo variance of E(GD | pi, Sigma).
+
+    The inner expectation over the chosen vertex is computed exactly per
+    sampled state: (1/sigma^2) sum_v (I_v - mu/n) B_v, with an independent
+    candidate stream per vertex.
+    """
+    mu, s2 = er._nondegenerate_moments(params)
+    n = params.n
+    mu_f, s2_f = float(mu), float(s2)
+    vals = np.empty(samples)
+    for i in range(samples):
+        graph = er.sample_graph(params, rng)
+        deg = er.degrees(graph)
+        total = 0.0
+        for v in range(1, n + 1):
+            res = _redistribute(graph, deg, v, lazy_permutation(rng, params.slots))
+            total += ((1 if deg[v - 1] == 0 else 0) - mu_f / n) * res.b_v
+        vals[i] = total / s2_f
+    return float(np.sqrt(max(vals.var(ddof=1), 0.0)))
 
 
 def _hook_product(parts: tuple, alpha: Fraction, extra=1) -> Fraction:
@@ -448,6 +561,108 @@ def loop_jack_batch(n: int, alpha, rng, size: int) -> dict:
         w[i] = y / scale
         lam1_prev[i] = runs[0][0] - (boxes[-1][0] == 0)  # first row before the last box
     return {"w": w, "lambda1_prev": lam1_prev}
+
+
+def axis_scan_corner_law(v: np.ndarray, c: np.ndarray, r: np.ndarray, alpha: float):
+    """``_batch_corner_law`` with its rows-above sum S as one axis-0
+    ``np.cumsum``, as the sweep had it before the lane loops.
+
+    Float ``_corner_law`` of many run-length encodings at once, bit for bit.
+
+    The arrays are (lanes x chains): column i holds the values ``v`` and
+    counts ``c`` of chain i's r_i runs in lanes t < r_i, and zeros after, with
+    at least one zero lane.  With S_t the rows above run t, lane t < r_i holds
+    the corner x_t = alpha v_t - S_t and the removable box
+    y_t = alpha v_t - (S_t + c_t), and the zeros supply the bottom corner
+    x_r = alpha 0 - S_r.  The products run in ``_corner_law``'s order, with a
+    factor 1.0 on missing lanes.  Returns the contents x and the weights, also
+    (lanes x chains), 0 past each bottom corner, where nothing is divided.
+    """
+    m, b = v.shape
+    S = np.cumsum(c, axis=0) - c
+    x = alpha * v - S
+    ys = alpha * v - (S + c)
+    lanes = np.arange(m)
+    dead = lanes[:, None] >= r  # lane i holds no run of the chain
+    f = np.empty((m, b))
+    num = np.ones((m, b))
+    for i in range(m - 1):
+        np.subtract(x, ys[i], out=f)
+        np.copyto(f, 1.0, where=dead[i])
+        num *= f
+    den = np.ones((m, b))
+    for j in range(m):
+        np.subtract(x, x[j], out=f)
+        if j:
+            np.copyto(f, 1.0, where=dead[j - 1])  # j > r: no corner x_j
+        f[j] = 1.0
+        den *= f
+    return x, np.divide(num, den, out=np.zeros((m, b)), where=lanes[:, None] <= r)
+
+
+def axis_scan_sweep(n: int, alpha: float, u: np.ndarray):
+    """``_sweep`` with its running sum and its first-hit pick as axis-0
+    ``np.cumsum`` and ``np.logical_and.accumulate``, as it was before the
+    lane loops, on ``axis_scan_corner_law``.
+
+    ``_grow`` for len(u) chains at once, one box per numpy step.
+
+    Chain i draws step s with ``u[i, s]``.  Each chain is the run-length
+    encoding of ``_grow_runs`` padded with zero runs, held lane-major: values
+    V and counts C of shape (lanes x chains), so that every numpy step runs
+    along contiguous rows over all chains, and the run count r.
+    ``_batch_corner_law`` gives the weights of ``_float_law`` bit for bit.
+    The pick is ``_pick``'s first-hit rule: the first lane whose running sum
+    of the weights exceeds u times their total, else the bottom corner, so
+    every pick and content equals the scalar one.  Returns the content sums
+    and the first rows at time n-1.
+    """
+    b = len(u)
+    width = math.isqrt(2 * n) + 3  # a partition of n has at most sqrt(2n) runs
+    V = np.zeros((width, b), dtype=np.int64)
+    C = np.zeros((width, b), dtype=np.int64)
+    V[0] = C[0] = 1
+    Vf, Cf = V.ravel(), C.ravel()  # lane t of chain i at flat index t*b + i
+    r = np.ones(b, dtype=np.int64)
+    chains = np.arange(b)
+    lanes = np.arange(width)
+    y = np.zeros(b)
+    for s in range(n - 1):
+        m = int(r.max()) + 1  # lanes in use: every run and the bottom corner
+        x, weights = axis_scan_corner_law(V[:m], C[:m], r, alpha)
+        cum = np.cumsum(weights, axis=0)
+        total = cum[-1]
+        jm._check_total(total[np.abs(total - 1.0).argmax()])
+        # the leading lanes whose running sum has not passed u*total, at most r
+        below = np.logical_and.accumulate(cum <= u[:, s] * total, axis=0)
+        t = np.minimum(below.sum(axis=0), r)
+        idx = t * b + chains
+        y += x.ravel()[idx]
+
+        # _grow_runs, case by case, as masked updates
+        vt, ct = Vf[idx], Cf[idx]
+        above = idx - b  # for t = 0, negative: the last lane, always zero padding
+        up = Vf[above] == vt + 1  # merge into the run above
+        Cf[above] += up
+        Vf[idx] += ~up  # bump in place, or the new run (v+1, 1)
+        Cf[idx] = np.where(up, np.maximum(ct - 1, 0), 1)
+        insert = ~up & (ct > 1)  # the rest of run t moves one lane down
+        delete = up & (ct == 1)  # run t has emptied
+        r += ~up & (ct != 1)  # an inserted run, or a new bottom run
+        r -= delete
+        shifted = np.flatnonzero(insert | delete)
+        if shifted.size:
+            head = lanes[: m + 1, None]  # lane m is padding before and after the shift
+            ins = insert[shifted]
+            moved = head >= t[shifted] + ins
+            src = np.minimum(np.where(moved, head + np.where(ins, -1, 1), head), m)
+            V[: m + 1, shifted] = Vf[src * b + shifted]
+            C[: m + 1, shifted] = Cf[src * b + shifted]
+            grown = shifted[ins]  # old run t, one row shorter, below the new run
+            at = (t[grown] + 1) * b + grown
+            Vf[at] = vt[grown]
+            Cf[at] = ct[grown] - 1
+    return y, V[0] - (t == 0)  # first row before the last box
 
 
 def two_call_jack_row(config: dict, grid_index: int, params) -> dict:

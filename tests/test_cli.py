@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -83,7 +84,7 @@ class TestErReport:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         base = ["er-report", "--grid", "4,2;4,3;5,3", "--samples", "400", "--seed", "5"]
         _, serial, _ = run_cli(base, capsys)
         code, parallel, _ = run_cli(base + ["--workers", str(workers)], capsys)
@@ -94,7 +95,7 @@ class TestErReport:
         def no_pool(*args, **kwargs):
             raise AssertionError("started a pool for one row")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, _, _ = run_cli(["er-report", "--grid", "4,2", "--samples", "200", "--workers", "8"], capsys)
         assert code == 0
 
@@ -538,6 +539,10 @@ from fractions import Fraction
 from steinlab import cli, jack_model
 import numpy as np
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+pool = sorted(
+    name for name in sys.modules
+    if name.split(".")[0] == "multiprocessing" or name == "concurrent.futures.process"
+)
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
@@ -547,7 +552,8 @@ with contextlib.redirect_stdout(io.StringIO()):
                   "--workers", "1"]),
     ]
 jack_model.zero_bias_sample(16, Fraction(64), np.random.default_rng(0))
-print(json.dumps({"scipy": scipy, "codes": codes, "added": sorted(set(sys.modules) - before)}))
+print(json.dumps({"scipy": scipy, "pool": pool, "codes": codes,
+                  "added": sorted(set(sys.modules) - before)}))
 """
 
 
@@ -560,5 +566,6 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout)
         assert seen["scipy"] == []
+        assert seen["pool"] == []  # the process pool is imported only for --workers > 1
         assert seen["codes"] == [0, 0]
         assert seen["added"] == []

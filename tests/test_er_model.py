@@ -22,7 +22,11 @@ from oracles import (
     binomial_table_moments,
     binomial_table_negative_correlation,
     brute_er_moments,
+    coupling_sample,
     edge_index,
+    gd_conditional_variance_estimate,
+    lazy_permutation,
+    redistribute,
     relocation_target_law,
     slot_to_pair,
     taylor_shift_y_law,
@@ -430,7 +434,7 @@ def _path_graph_state():
 class TestRedistribution:
     def test_isolated_vertex_trivial(self):
         g = _path_graph_state()
-        res = er.redistribute(g, 4, range(1, 7))
+        res = redistribute(g, 4, range(1, 7))
         assert res.relocated_slots == frozenset()
         assert res.b_v == 1
 
@@ -441,7 +445,7 @@ class TestRedistribution:
         for _ in range(200):
             g = er.sample_graph(params, rng)
             v = int(rng.integers(1, 8))
-            res = er.redistribute(g, v, er.lazy_permutation(rng, params.slots))
+            res = redistribute(g, v, lazy_permutation(rng, params.slots))
             for s in res.relocated_slots:
                 assert v not in table[s - 1]
                 assert s not in g.edge_slots()
@@ -450,7 +454,7 @@ class TestRedistribution:
     def test_exhaustive_sigma_path_graph_middle_vertex(self):
         g = _path_graph_state()
         for sigma in itertools.permutations(range(1, 7)):
-            res = er.redistribute(g, 2, sigma)
+            res = redistribute(g, 2, sigma)
             y_v = brute_coupled_isolated(4, g.edge_slots(), 2, res.relocated_slots)
             assert er.isolated_count(g) - y_v == res.b_v
             assert b_v_decomposition(g, 2, res.relocated_slots) == res.b_v
@@ -460,7 +464,7 @@ class TestRedistribution:
         g = _path_graph_state()
         counts: dict = {}
         for sigma in itertools.permutations(range(1, 7)):
-            res = er.redistribute(g, 2, sigma)
+            res = redistribute(g, 2, sigma)
             counts[res.relocated_slots] = counts.get(res.relocated_slots, 0) + 1
         law = dict(relocation_target_law(4, g.edge_slots(), 2))
         assert set(counts) == set(law)
@@ -490,20 +494,20 @@ class TestRedistribution:
         for _ in range(10_000):
             g = er.sample_graph(params, rng)
             v = int(rng.integers(1, 6))
-            res = er.redistribute(g, v, er.lazy_permutation(rng, params.slots))
+            res = redistribute(g, v, lazy_permutation(rng, params.slots))
             assert b_v_decomposition(g, v, res.relocated_slots) == res.b_v
 
     def test_nontermination_guard(self):
         params = er.ErParams(4, 4)  # C(3,2) = 3 < 4
         g = er.sample_graph(params, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            er.redistribute(g, 1, range(1, 7))
+            redistribute(g, 1, range(1, 7))
 
     def test_lazy_permutation_is_uniform(self):
         rng = np.random.default_rng(13)
         counts = np.zeros((4, 4))
         for _ in range(40_000):
-            seq = list(itertools.islice(er.lazy_permutation(rng, 4), 4))
+            seq = list(itertools.islice(lazy_permutation(rng, 4), 4))
             assert sorted(seq) == [1, 2, 3, 4]
             for pos, val in enumerate(seq):
                 counts[pos][val - 1] += 1
@@ -520,7 +524,7 @@ class TestCouplingSample:
         gd = np.empty(reps)
         w = np.empty(reps)
         for i in range(reps):
-            s = er.coupling_sample(params, rng)
+            s = coupling_sample(params, rng)
             gd[i] = s.g * s.d
             w[i] = s.w
             assert abs(s.d) <= (1 + 2 * s.chosen_degree) / sigma + 1e-12
@@ -530,7 +534,7 @@ class TestCouplingSample:
 
     def test_degenerate_raises(self):
         with pytest.raises(er.DegenerateParamsError):
-            er.coupling_sample(er.ErParams(3, 1), np.random.default_rng(0))
+            coupling_sample(er.ErParams(3, 1), np.random.default_rng(0))
 
     def test_truncation_tally(self):
         params = er.ErParams(40, 40)
@@ -539,7 +543,7 @@ class TestCouplingSample:
         assert not er.truncation_exceeded(params, 10)
         rng = np.random.default_rng(202)
         exceed = sum(
-            er.truncation_exceeded(params, er.coupling_sample(params, rng).chosen_degree)
+            er.truncation_exceeded(params, coupling_sample(params, rng).chosen_degree)
             for _ in range(500)
         )
         # mean degree is 2m/n = 2; degree > 10 is a rare event
@@ -619,7 +623,7 @@ class TestGDConditionalVariance:
                 b1 = Fraction(0)
                 b2 = Fraction(0)
                 for sigma in perms:
-                    b = er.redistribute(g, v, sigma).b_v
+                    b = redistribute(g, v, sigma).b_v
                     b1 += Fraction(b, len(perms))
                     b2 += Fraction(b * b, len(perms))
                 eb.append(b1)
@@ -636,21 +640,21 @@ class TestGDConditionalVariance:
 
         rng = np.random.default_rng(31)
         reps = 4_000
-        est = er.gd_conditional_variance_estimate(params, rng, reps)
+        est = gd_conditional_variance_estimate(params, rng, reps)
         # generous band: 3 standard errors of a variance estimate
         assert abs(est**2 - float(mean_x2 - 1)) <= 3 * 0.6 / math.sqrt(reps) + 0.01
         assert abs(est - exact_sd) < 0.05
 
     def test_degenerate_raises(self):
         with pytest.raises(er.DegenerateParamsError):
-            er.gd_conditional_variance_estimate(er.ErParams(3, 1), np.random.default_rng(0), 10)
+            gd_conditional_variance_estimate(er.ErParams(3, 1), np.random.default_rng(0), 10)
 
     def test_rate_product_reported_on_central_grid(self):
         # sqrt-variance proxy times the rate stays finite (reported only)
         rng = np.random.default_rng(117)
         for n in (30, 60):
             params = er.ErParams(n, n)
-            est = er.gd_conditional_variance_estimate(params, rng, 200)
+            est = gd_conditional_variance_estimate(params, rng, 200)
             assert math.isfinite(est * er.rate(params))
 
 
@@ -682,7 +686,7 @@ def test_graph_invariants_random(n, data):
     assert er.isolated_count(g) == sum(1 for d in deg if d == 0)
     if m <= ex.binomial(n - 1, 2):
         v = data.draw(st.integers(1, n))
-        res = er.redistribute(g, v, er.lazy_permutation(rng, N))
+        res = redistribute(g, v, lazy_permutation(rng, N))
         assert len(res.relocated_slots) == deg[v - 1]
         assert res.relocated_slots.isdisjoint(g.edge_slots())
         y_v = brute_coupled_isolated(n, g.edge_slots(), v, res.relocated_slots)

@@ -12,6 +12,7 @@ from steinlab import jack_model as jm
 
 from oracles import (
     ScriptedGenerator,
+    axis_scan_sweep,
     fraction_chain_law,
     fraction_content_sum,
     fraction_jack_moments,
@@ -366,6 +367,66 @@ class TestBatchSweep:
         finally:
             tracemalloc.stop()
         assert peak < u.nbytes / 2
+
+
+def assert_sweep_equals_axis_scans(n, alpha, seed, size):
+    rng_lanes, rng_scans = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = jm.sample_jack_batch(n, alpha, rng_lanes, size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jm, "_sweep", axis_scan_sweep)
+        want = jm.sample_jack_batch(n, alpha, rng_scans, size)
+    for key in ("w", "lambda1_prev"):
+        assert got[key].dtype == want[key].dtype
+        assert (got[key] == want[key]).all()
+    assert rng_lanes.random() == rng_scans.random()
+
+
+class TestLaneScans:
+    """The lane-by-lane scans draw exactly what the axis-0 scans drew."""
+
+    @pytest.mark.parametrize("n, alpha", [(16, 64), (32, "181.019336"), (64, 512)])
+    def test_jack_report_points(self, n, alpha):
+        for seed in range(2):
+            assert_sweep_equals_axis_scans(n, Fraction(alpha), seed, 1100)
+
+    @pytest.mark.parametrize("size", [1, 7, 100])
+    def test_many_corners(self, size):
+        for seed in range(3):
+            assert_sweep_equals_axis_scans(100, Fraction(1), seed, size)
+
+    @pytest.mark.parametrize("n, alpha", [(30, "1/4"), (20, "7/3")])
+    def test_small_and_fractional_alpha(self, n, alpha):
+        for seed in range(3):
+            assert_sweep_equals_axis_scans(n, Fraction(alpha), seed, 300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(7, 3), Fraction(64)]),
+        st.integers(0, 50),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sweep_equals_axis_scans_random(self, n, alpha, size, seed):
+        assert_sweep_equals_axis_scans(n, alpha, seed, size)
+
+    def test_pick_takes_the_first_hit_on_non_monotone_sums(self):
+        # chain 0: lane 2 falls back below the level after lane 1 passed it,
+        # so the pick is lane 1 although two lanes lie below the level;
+        # chain 1: no lane passes, so the pick is the bottom corner r;
+        # chain 2: the first lane passes
+        cum = np.array([
+            [0.2, 0.1, 0.9],
+            [0.5, 0.2, 0.3],
+            [0.4, 0.3, 0.2],
+            [1.0, 0.3, 1.0],
+        ])
+        level = np.array([0.45, 0.9, 0.5])
+        r = np.array([3, 3, 3])
+        assert (cum <= level).sum(axis=0).tolist() == [2, 4, 2]
+        assert jm._batch_pick(cum, level, r).tolist() == [1, 3, 0]
+        for i in range(3):
+            weights = np.diff(cum[:, i], prepend=0.0)
+            assert jm._pick(weights, level[i]) == [1, 3, 0][i]
 
 
 class TestDegeneracyAndRegion:

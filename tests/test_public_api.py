@@ -17,8 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steinlab"
 
 KEPT = {
-    "coupling_sample": "ROADMAP item 8: the ER coupling term in closed form",
-    "gd_conditional_variance_estimate": "ROADMAP item 8: the ER coupling term in closed form",
     "check_moment_drop_ratios": "ROADMAP item 6: the induction step",
     "truncation_exceeded": "ROADMAP item 6: the induction step",
     "asymptotic_accuracy": "ROADMAP item 6: a report column or verify family",
