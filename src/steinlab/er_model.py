@@ -373,52 +373,44 @@ def _sample_distinct_rows(rng: np.random.Generator, N: int, m: int, rows: int) -
 
     Per-entry rejection, which reproduces sequential draw-until-new sampling:
     each pass redraws, with one ``rng.integers`` call in row-major order,
-    every entry whose slot repeats one at a lower position of its row, and
-    the next pass checks only the rows it redrew.  Pass 1 and passes 3 on
-    sort those rows (``_redraw_repeats``); pass 2 looks up only the entries
-    pass 1 redrew (``_redraw_second_pass``).
+    every entry whose slot repeats one at a lower position of its row.  A row
+    the previous pass left alone has no repeat, so every pass sorts only the
+    rows the previous one redrew (``_redraw_repeats``); the first sorts all.
 
     The slots are int32 when N <= 2**31 and int64 otherwise, and every call
     draws in that dtype.  The draws rest on numpy's ``integers`` giving, for
     N <= 2**31, the same values in int32 as in int64 and leaving the
     generator in the same state.  The packed sort keys slot * m + position
-    are int32 when N * m <= 2**31 and int64 otherwise.  Every pass runs over
-    row blocks of about _BLOCK entries, so besides the slots and the indices
-    it redraws it holds only pass 1's sorted keys, kept for pass 2, and one
-    block: about 8 bytes of transient memory per drawn slot when both are
-    int32.
+    are int32 when N * m <= 2**31 and int64 otherwise.  Every pass sorts one
+    scratch block of about _BLOCK keys at a time, so besides the slots it
+    holds only that block and the indices it redraws.
     """
     key_type = np.int32 if N * m <= 2**31 else np.int64
     out = rng.integers(0, N, size=(rows, m), dtype=np.int32 if N <= 2**31 else np.int64)
-    keys, flat = _redraw_repeats(rng, out, np.arange(rows), N, key_type, keep=True)
-    if flat.size:
-        flat = _redraw_second_pass(rng, out, keys, flat, N)
-    del keys  # passes 3 on sort one scratch block at a time
-    while flat.size:
+    live = np.arange(rows)
+    while live.size:
+        flat = _redraw_repeats(rng, out, live, N, key_type)
         live = np.flatnonzero(np.bincount(flat // m))  # the rows just redrawn
-        flat = _redraw_repeats(rng, out, live, N, key_type)[1]
     return out
 
 
-def _redraw_repeats(rng, out, live, N, key_type, keep=False):
+def _redraw_repeats(rng, out, live, N, key_type):
     """One sorting pass over the rows ``live`` (sorted) of ``out``.
 
     Sorts each row's packed keys slot * m + position, so a slot's first
     occurrence sorts first, and redraws its later occurrences.  Works on
-    about _BLOCK entries of whole rows at a time.  With ``keep`` the keys of
-    block after block fill one (live, m) array, returned sorted; otherwise
-    every block reuses one scratch block.  Returns the keys and the redrawn
-    flat indices, in row-major order.
+    about _BLOCK entries of whole rows at a time in one scratch block.
+    Returns the redrawn flat indices, in row-major order.
     """
     m = out.shape[1]
     step = max(1, _BLOCK // m)
     whole = live.size == out.shape[0]  # ``live`` is sorted, so it is every row
-    keys = np.empty((live.size if keep else min(step, live.size), m), dtype=key_type)
+    keys = np.empty((min(step, live.size), m), dtype=key_type)
     position = np.arange(m, dtype=key_type)
     found = [np.empty(0, dtype=np.intp)]
     for i in range(0, live.size, step):
         rows = live[i : i + step]
-        block = keys[i : i + rows.size] if keep else keys[: rows.size]
+        block = keys[: rows.size]
         # in the key dtype, as int32 slots times m may pass 2**31
         np.multiply(out[i : i + rows.size] if whole else out[rows], m, out=block, dtype=key_type)
         block += position
@@ -429,55 +421,7 @@ def _redraw_repeats(rng, out, live, N, key_type, keep=False):
         found.append(np.sort(rows[r] * m + block[r, c + 1] % m))
     flat = np.concatenate(found)
     np.put(out, flat, rng.integers(0, N, size=flat.size, dtype=out.dtype))
-    return keys, flat
-
-
-def _redraw_second_pass(rng, out, keys, flat, N):
-    """Pass 2, given pass 1's sorted ``keys`` of every row and the flat
-    indices ``flat`` it redrew; returns the flat indices it redraws.
-
-    The entries pass 1 kept hold distinct slots within a row, so a repeat
-    involves a redrawn entry.  Each redrawn entry looks up, by binary search
-    in its row of ``keys``, the first key >= new slot * m.  The keys still
-    hold the redrawn entries' old slots, but each of those is first held by
-    a kept entry at a lower position, so the row's first key of the new
-    slot, if any, is the kept entry holding it.  Among the redrawn entries
-    sharing a new slot, every one but the lowest position repeats it; the
-    lowest repeats a kept entry at a lower position, or else makes the kept
-    entry at a higher position repeat it, so no index is listed twice.  The
-    redrawn entries are taken about _BLOCK at a time, in runs of whole rows.
-    """
-    m = out.shape[1]
-    slots, sorted_keys = out.ravel(), keys.ravel()
-    # cut at the start of the row of every _BLOCK-th entry, once per row
-    cuts = np.searchsorted(flat, flat[::_BLOCK] // m * m).tolist()
-    cuts = list(dict.fromkeys(cuts)) + [flat.size]
-    found = [np.empty(0, dtype=np.intp)]
-    for a, z in zip(cuts, cuts[1:]):
-        f = flat[a:z]
-        new = slots[f]
-        order = np.argsort(f // m * N + new, kind="stable")  # by row and new slot, then position
-        f, new = f[order], new[order]
-        target = new.astype(keys.dtype) * m  # the key of the new slot at position 0
-        start = f - f % m  # the row's first index
-        at, width = start.copy(), m  # a branch-free lower bound over each row
-        while width > 1:
-            half = width // 2
-            np.add(at, half, out=at, where=sorted_keys[at + half] < target)
-            width -= half
-        at += sorted_keys[at] < target  # the row's first key >= target, or the row's end
-        kept = sorted_keys[np.minimum(at, sorted_keys.size - 1)]
-        hit = (at - start < m) & (kept - target < m)
-        gap = kept % m - f % m  # kept position minus redrawn position
-        later = np.zeros(f.size, dtype=bool)
-        later[1:] = (start[1:] == start[:-1]) & (new[1:] == new[:-1])
-        found.append(np.sort(np.concatenate([
-            f[later | (hit & (gap < 0))],  # redrawn entries that repeat a slot
-            (f + gap)[hit & (gap > 0) & ~later],  # kept entries that now repeat one
-        ])))
-    redo = np.concatenate(found)
-    np.put(out, redo, rng.integers(0, N, size=redo.size, dtype=out.dtype))
-    return redo
+    return flat
 
 
 def sample_isolated_counts(params: ErParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -486,9 +430,9 @@ def sample_isolated_counts(params: ErParams, rng: np.random.Generator, size: int
     Each batch draws its graphs' edge slots with ``_sample_distinct_rows``
     and counts them with ``_count_isolated``; a batch's slots are freed
     before the next batch draws.  A batch of b graphs holds its int32 slots
-    and, while they are drawn, pass 1's int32 keys (about 8 bytes per drawn
-    slot in all), then the slots and a (b * n,) bool array while counting,
-    besides one row block of about _BLOCK slots.
+    and, while they are drawn, the indices each pass redraws (at (400, 400)
+    about 4.5 bytes per drawn slot in all), then the slots and a (b * n,)
+    bool array while counting, besides one row block of about _BLOCK slots.
     """
     n, m, N = params.n, params.m, params.slots
     ends = np.triu_indices(n, 1)  # 0-based endpoints in pair_table order

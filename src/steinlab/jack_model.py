@@ -350,8 +350,9 @@ def _batch_corner_law(v: np.ndarray, c: np.ndarray, r: np.ndarray, alpha: float)
     S = np.zeros_like(c)  # exclusive running sum of the counts, lane by lane
     for above, counts, rows in zip(S, c, S[1:]):
         np.add(above, counts, out=rows)
-    x = alpha * v - S
-    ys = alpha * v - (S + c)
+    av = alpha * v
+    x = av - S
+    ys = av - (S + c)
     lanes = np.arange(m)
     dead = lanes[:, None] >= r  # lane i holds no run of the chain
     f = np.empty((m, b))

@@ -38,7 +38,8 @@ DISTINCT_POINTS = [
     # int64 packed keys (N * m > 2**31), then two collision-dense points
     (7_998_000, 300), (66, 40), (190, 150),
 ]
-# each pass-2 case, as queued draws of 4 slots out of 10
+# repeats that a redraw makes, as queued draws of 4 slots out of 10; the
+# second pass sorts only the rows the first one redrew
 SECOND_PASS_SCRIPTS = [
     # the redrawn position 1 takes slot 5 from the kept position 2
     [[[0, 0, 5, 7]], [5], [3]],
@@ -48,7 +49,7 @@ SECOND_PASS_SCRIPTS = [
     [[[0, 0, 1, 1]], [6, 6], [8]],
     # the redrawn position 2 draws its own old slot
     [[[0, 2, 0, 3]], [0], [4]],
-    # all four at once, one row each; the last row's pass-2 draw
+    # all four at once, one row each; the last row's second redraw
     # repeats its old slot again, so a third pass redraws it
     [
         [[0, 0, 5, 7], [5, 0, 0, 7], [0, 0, 1, 1], [0, 2, 0, 3]],
@@ -57,13 +58,13 @@ SECOND_PASS_SCRIPTS = [
         [4],
     ],
 ]
-# the last row's redrawn position 1 draws its own old slot N - 1 again
+# the last row holds the top slot N - 1 twice and its redraw draws N - 1
+# again, so two passes sort int32 keys up to (N - 1) * m + 1 < 2**31
 LOOKUP_PAST_INT32 = [[[1, 2], [3, 4], [10**9 - 1, 10**9 - 1]], [10**9 - 1], [5]]
 
 
 def _block(rows: int, m: int) -> int:
-    """A sampler block size giving row blocks of ``rows`` rows of m slots;
-    1 also gives pass 2 one row per block."""
+    """A sampler block size giving row blocks of ``rows`` rows of m slots."""
     return 1 if rows == 1 else rows * m
 
 
@@ -159,12 +160,12 @@ class TestSampling:
 
     @pytest.mark.parametrize("script", SECOND_PASS_SCRIPTS)
     def test_second_pass_cases_match_argsort_oracle(self, script):
-        # each draw's size is checked, so each script forces its pass-2 case
+        # each draw's size is checked, so each script forces its repeat
         assert_script_matches_oracle(script, 10, 4)
 
     def test_second_pass_lookup_past_int32(self):
-        # int32 keys (N * m <= 2**31), but row * N + slot passes 2**31 on the
-        # last row, whose redrawn position 1 draws its own old slot
+        # int32 keys (N * m <= 2**31); the last row's redrawn position 1
+        # draws its own old slot, the top one
         got = assert_script_matches_oracle(LOOKUP_PAST_INT32, 10**9, 2)
         assert got[2].tolist() == [10**9 - 1, 5]
 
@@ -201,9 +202,9 @@ class TestSampling:
             assert np.array_equal(got, want)
             assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
-    def test_isolated_counts_memory_within_two_and_a_half_slot_arrays(self):
-        # 5000 x 400 int32 slots take 8 MB; the sorted keys kept for pass 2
-        # take as much again, and a full-size temporary would pass the bound
+    def test_isolated_counts_memory_within_one_and_three_quarter_slot_arrays(self):
+        # 5000 x 400 int32 slots take 8 MB and the count's bool marks 2 MB; a
+        # full-size temporary, such as a second key array, would pass the bound
         params, size = er.ErParams(400, 400), 5000
         er.sample_isolated_counts(params, np.random.default_rng(0), 10)  # lazy imports
         rng = np.random.default_rng(1)
@@ -213,7 +214,7 @@ class TestSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * size * params.m * 4
+        assert peak <= 1.75 * size * params.m * 4
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -239,6 +240,34 @@ class TestSampling:
         assert min(expected.values()) >= 5
         stat = sum((np.sum(y == v) - e) ** 2 / e for v, e in expected.items())
         assert stat <= chi2.ppf(0.9999, len(expected) - 1)
+
+    def test_isolated_count_chi2_against_exact_law_over_many_blocks(self, monkeypatch):
+        # (40, 50): mean about 2.8 and about 1.6 repeats per row, so the five
+        # batches run 8 row blocks each and 15 or more passes in all
+        params, reps = er.ErParams(40, 50), 50_000
+        assert reps >= 5 * er._BATCH_ROWS and er._BATCH_ROWS * params.m >= 7 * er._BLOCK
+        passes, redraw = [], er._redraw_repeats
+
+        def counted(*args):
+            passes.append(args[2])
+            return redraw(*args)
+
+        monkeypatch.setattr(er, "_redraw_repeats", counted)
+        y = er.sample_isolated_counts(params, np.random.default_rng(41), reps)
+        assert len(passes) >= 15
+        # pool neighbouring values until each cell expects at least 5 draws
+        cells, counts = [[0.0, 0]], np.bincount(y)
+        for v, p in sorted(er.exact_y_law(params).atoms):
+            if cells[-1][0] >= 5:
+                cells.append([0.0, 0])
+            cells[-1][0] += float(p) * reps
+            cells[-1][1] += int(counts[v]) if v < counts.size else 0
+        if cells[-1][0] < 5:
+            tail = cells.pop()
+            cells[-1] = [cells[-1][0] + tail[0], cells[-1][1] + tail[1]]
+        assert sum(c for _, c in cells) == reps
+        stat = sum((c - e) ** 2 / e for e, c in cells)
+        assert stat <= chi2.ppf(0.9999, len(cells) - 1)
 
     def test_degree_sum_is_2m(self):
         rng = np.random.default_rng(3)
