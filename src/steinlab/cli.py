@@ -286,7 +286,6 @@ def _verify_families() -> dict:
     at call time, so a patched module function is the one checked.
     """
     alphas = [Fraction(1, 2), Fraction(1), Fraction(2)]
-    er42 = er_model.ErParams(4, 2)
     return {
         "jack_normalization": (
             [(n, a) for n in range(1, 7) for a in alphas],
@@ -312,7 +311,7 @@ def _verify_families() -> dict:
             lambda n, a: jack_model.check_jack_moments(n, a)["holds"],
         ),
         "stein_identity_er": (
-            [(er42, [0, 1]), (er42, [0, 0, 1])],
+            [(er_model.ErParams(*nm), f) for nm in ((4, 2), (7, 7)) for f in ([0, 1], [0, 0, 1])],
             lambda g, f: er_model.check_stein_identity_exhaustive(g, f)["equal"],
         ),
         "er_moments_enumeration": ([(4, 1), (4, 2), (4, 3), (5, 3)], _er_moments_enumerated),

@@ -13,14 +13,14 @@ touching j given vertices.  Exact laws come from one edge-placement chain,
 slots: from the empty graph it gives the law of Y, and from the edges a graph
 keeps once vertex v is removed it gives the law of the coupled count Y_v.
 
-The exhaustive Stein-identity check enumerates edge sets (the permutation
-only matters through the edge set) and reads the law of Y_v from the chain;
-both reductions are exercised against the literal constructions in the tests.
+The exact Stein-identity check sums over the joint law of one vertex's degree,
+the isolated count of the graph without it, and its neighbours among those,
+from the chain and the hypergeometric law; the tests check it against the
+literal enumeration of edge sets and relocation subsets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exactnum import FLOAT_SLACK, binomial, phi
+from .exactnum import FLOAT_SLACK, HypergeometricParams, binomial, hyp_pmf_vector, phi
 from .stein_core import DiscreteLaw, empirical_kolmogorov, law_from_pairs
 
 DEFAULT_THRESHOLDS = {"n_bar": 344, "m_bar": 28, "c_bar": 1}
@@ -71,6 +71,15 @@ class ErGraphState:
 def sample_graph(params: ErParams, rng: np.random.Generator) -> ErGraphState:
     perm = tuple(int(x) + 1 for x in rng.permutation(params.slots))
     return ErGraphState(params, perm)
+
+
+def _degrees_of_edges(edges: Sequence[int], table, n: int) -> list[int]:
+    deg = [0] * (n + 1)
+    for s in edges:
+        a, b = table[s - 1]
+        deg[a] += 1
+        deg[b] += 1
+    return deg[1:]
 
 
 def degrees(graph: ErGraphState) -> list[int]:
@@ -226,41 +235,45 @@ def _nondegenerate_moments(params: ErParams) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration machinery
+# The vertex-removal Stein coupling, exactly
 # ---------------------------------------------------------------------------
 
 
-def enumerate_edge_sets(params: ErParams) -> Iterator[tuple]:
-    """All C(N, m) edge-slot subsets, each equally likely under the model."""
-    return itertools.combinations(range(1, params.slots + 1), params.m)
+def _coupling_law(params: ErParams) -> Iterator[tuple[Fraction, int, int, int]]:
+    """Joint law of (d, z, h) for one fixed vertex v, as (probability, d, z, h).
 
-
-def _degrees_of_edges(edges: Sequence[int], table, n: int) -> list[int]:
-    deg = [0] * (n + 1)
-    for s in edges:
-        a, b = table[s - 1]
-        deg[a] += 1
-        deg[b] += 1
-    return deg[1:]
+    d = deg v; z counts the isolated vertices of G - v, whose m - d edges are
+    a uniform subset of the M = C(n-1,2) slots avoiding v (the chain on n - 1
+    vertices); h counts the neighbours of v among them, Hyp(n - 1, d, z) given
+    (d, z), as the neighbours are a uniform d-subset.  Y = z - h + [d = 0].
+    """
+    n, m = params.n, params.m
+    M = binomial(n - 1, 2)
+    for d in range(max(0, m - M), min(n - 1, m) + 1):
+        # P(d) over the perm(M, m - d) placements the chain counts
+        p_d = Fraction(binomial(n - 1, d) * binomial(M, m - d),
+                       binomial(params.slots, m) * math.perm(M, m - d))
+        for z, cz in enumerate(_edge_chain(n - 1, M, n - 1, m - d)):
+            if cz:
+                for h, p_h in hyp_pmf_vector(HypergeometricParams(n - 1, d, z)).items():
+                    yield p_d * cz * p_h, d, z, h
 
 
 def check_stein_identity_exhaustive(params: ErParams, coeffs: Sequence) -> dict:
     """Exact coupling identity E[G(f(Y') - f(Y))] = E[(Y - mu) f(Y)].
 
-    Works on the unstandardized count with G = -(n I_V - mu); ``coeffs`` are
-    the polynomial coefficients of f, lowest degree first.  Enumerates edge
-    sets and the chosen vertex v with exact weights.  Given both, the d = d_v
+    Works on the unstandardized count with G = mu - n [d = 0]; ``coeffs`` are
+    the polynomial coefficients of f, lowest degree first.  Sums over
+    ``_coupling_law`` (one vertex stands for all).  Given (d, z), the d
     relocated edges are a uniform d-subset of the F = C(n-1,2) - (m - d) free
-    slots, and the z vertices that keep no edge once v is removed (the
-    isolated vertices other than v and the degree-one neighbours of v) start
-    untouched, so Y_v has the law of ``_edge_chain(n - 1, F, z, d)``.
-    Reports exact rational equality.
+    slots and the z vertices of G - v start untouched, so Y_v has the law of
+    ``_edge_chain(n - 1, F, z, d)``.  Reports exact rational equality.  Cost
+    on one Xeon core: about 2 ms at (7, 7), 5-7 ms at (10, 10), 45-70 ms at
+    (20, 20) and 0.2-0.3 s at (30, 30).
     """
     mu, s2 = exact_moments(params)
     if s2 == 0:
         return {"skipped": True, "reason": "sigma^2 = 0 (degenerate parameters)"}
-    if params.n > 6:
-        raise ValueError("exhaustive check kept feasible only for n <= 6")
     coeffs = [Fraction(c) for c in coeffs]
     n, m = params.n, params.m
 
@@ -270,33 +283,17 @@ def check_stein_identity_exhaustive(params: ErParams, coeffs: Sequence) -> dict:
 
     @lru_cache(maxsize=None)
     def coupled_mean_f(free, z, d):
-        """E f(Y_v) from the chain's law of Y_v given (G, v)."""
+        """E f(Y_v) from the chain's law of Y_v given (d, z)."""
         count = _edge_chain(n - 1, free, z, d)
         return sum(ck * f(k) for k, ck in enumerate(count)) / math.perm(free, d)
 
-    table = pair_table(n)
     slots_without_v = binomial(n - 1, 2)
-    w_edges = Fraction(1, binomial(params.slots, m))
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for edges in enumerate_edge_sets(params):
-        deg = _degrees_of_edges(edges, table, n)
-        y = deg.count(0)
+    lhs = rhs = Fraction(0)
+    for p, d, z, h in _coupling_law(params):
+        y = z - h + (d == 0)
         fy = f(y)
-        rhs += w_edges * (y - mu) * fy
-        lone = [0] * n  # degree-one neighbours of each vertex
-        for s in edges:
-            a, b = table[s - 1]
-            lone[a - 1] += deg[b - 1] == 1
-            lone[b - 1] += deg[a - 1] == 1
-        inner = Fraction(0)
-        for v in range(n):
-            d = deg[v]
-            isolated = d == 0
-            z = y - isolated + lone[v]
-            g = mu - n * isolated
-            inner += g * (coupled_mean_f(slots_without_v - (m - d), z, d) - fy)
-        lhs += w_edges * Fraction(1, n) * inner
+        rhs += p * (y - mu) * fy
+        lhs += p * (mu - n * (d == 0)) * (coupled_mean_f(slots_without_v - (m - d), z, d) - fy)
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs, "skipped": False}
 
 

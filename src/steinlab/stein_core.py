@@ -86,35 +86,36 @@ def law_from_pairs(pairs: Iterable[tuple]) -> DiscreteLaw:
 # ---------------------------------------------------------------------------
 
 
-def empirical_kolmogorov(samples, confidence: float = 0.05) -> dict:
-    """sup_z |F_hat(z) - Phi(z)| for an empirical CDF, with its DKW band.
-
-    The supremum of a step function against a continuous CDF is attained at
-    a jump point, approached from the left or evaluated at the jump, so the
-    scan over sorted unique sample values with their left limits is exact.
+def _kolmogorov_scan(values: np.ndarray, cum: np.ndarray) -> float:
+    """sup_z |F(z) - Phi(z)| for the step CDF F that jumps to ``cum`` at the
+    sorted ``values`` (float arrays).  The supremum of a step function against
+    a continuous CDF is attained at a jump, approached from the left or
+    evaluated at it, so the scan over jumps and their left limits is exact.
     """
+    cdf_at = np.array([normal_cdf(v) for v in values.tolist()])
+    left = np.concatenate(([0.0], cum[:-1]))
+    return float(np.max(np.maximum(np.abs(cum - cdf_at), np.abs(left - cdf_at))))
+
+
+def empirical_kolmogorov(samples, confidence: float = 0.05) -> dict:
+    """sup_z |F_hat(z) - Phi(z)| for an empirical CDF, with its DKW band."""
     x = np.asarray(samples, dtype=float)
     k = x.size
     if k < 100:
         raise ValueError("need at least 100 samples")
     vals, counts = np.unique(x, return_counts=True)
-    cum = np.cumsum(counts) / k
-    cdf_at = np.array([normal_cdf(v) for v in vals.tolist()])
-    left = np.concatenate(([0.0], cum[:-1]))
-    delta_hat = float(np.max(np.maximum(np.abs(cum - cdf_at), np.abs(left - cdf_at))))
+    delta_hat = _kolmogorov_scan(vals, np.cumsum(counts) / k)
     band = math.sqrt(math.log(2.0 / confidence) / (2.0 * k))
     return {"delta_hat": delta_hat, "dkw_band": band, "samples": k}
 
 
 def kolmogorov_discrete_vs_normal(law: DiscreteLaw) -> float:
-    """Exact sup_z |F(z) - Phi(z)| for a finite discrete law."""
-    best = 0.0
-    cum = Fraction(0)
-    for v, p in law.sorted_atoms():
-        c = normal_cdf(float(v))
-        best = max(best, abs(float(cum) - c), abs(float(cum + p) - c))
-        cum += p
-    return best
+    """Exact sup_z |F(z) - Phi(z)| for a finite discrete law; the running sums
+    are exact and rounded once each."""
+    atoms = law.sorted_atoms()
+    values = np.array([float(v) for v, _ in atoms])
+    cum = np.array([float(c) for c in itertools.accumulate(p for _, p in atoms)])
+    return _kolmogorov_scan(values, cum)
 
 
 def _int_normal_cdf(a: float, b: float) -> float:

@@ -11,7 +11,8 @@ scans, which the lane-by-lane sweep must equal bit for bit.
 estimate, which the one-sweep row must equal.  The per-draw redistribution
 coupling (``redistribute``, ``lazy_permutation``, ``coupling_sample`` and
 ``gd_conditional_variance_estimate``) is the literal construction behind the
-exhaustive Stein-identity check's reductions, on the package's graph state.
+exact Stein-identity check's reductions, on the package's graph state, and
+``enumerate_edge_sets`` lists the equally likely edge sets it starts from.
 The exact Jack quantities (content sum, chain law, content moments and the
 zero-bias identity) have Fraction references here, on the hook-product
 measure and transition law with unscaled contents, for the integer-scaled
@@ -38,7 +39,7 @@ import numpy as np
 
 from steinlab import cli, er_model as er, jack_model as jm
 from steinlab.jack_model import _grow, content_scale, enumerate_partitions
-from steinlab.stein_core import kolmogorov_discrete_vs_normal
+from steinlab.stein_core import kolmogorov_discrete_vs_normal, normal_cdf
 
 
 @lru_cache(maxsize=None)
@@ -160,6 +161,11 @@ def taylor_shift_y_law(n: int, m: int) -> dict[int, Fraction]:
         for k in range(len(c) - 2, i - 1, -1):
             c[k] -= c[k + 1]
     return {k: Fraction(ck, total) for k, ck in enumerate(c) if ck}
+
+
+def enumerate_edge_sets(params) -> Iterator[tuple]:
+    """All C(N, m) edge-slot subsets of ``params``, each equally likely."""
+    return itertools.combinations(range(1, params.slots + 1), params.m)
 
 
 def relocation_target_law(n: int, edge_slots, v: int):
@@ -744,3 +750,15 @@ def loop_efron_stein(h: Callable, N: int, n_sigma: int) -> dict:
 
     bound = first / 2 + second / 2
     return {"var": var, "bound": bound, "holds": var <= bound}
+
+
+def loop_kolmogorov(law) -> float:
+    """sup_z |F(z) - Phi(z)| by one loop over the sorted atoms, comparing the
+    float of each running Fraction sum, before and after the atom, with Phi."""
+    best = 0.0
+    cum = Fraction(0)
+    for v, p in law.sorted_atoms():
+        c = normal_cdf(float(v))
+        best = max(best, abs(float(cum) - c), abs(float(cum + p) - c))
+        cum += p
+    return best

@@ -7,8 +7,20 @@ from fractions import Fraction
 import pytest
 
 from steinlab import er_model as er
+from steinlab.stein_core import law_from_pairs
 
-from oracles import brute_coupled_isolated, relocation_target_law, subset_stein_identity
+from oracles import (
+    brute_coupled_isolated,
+    enumerate_edge_sets,
+    relocation_target_law,
+    subset_stein_identity,
+)
+
+# every nondegenerate (n, m) with n <= 5, and the cheapest two at n = 6
+SUBSET_POINTS = [
+    (n, m) for n in range(3, 6) for m in range(1, math.comb(n, 2))
+    if er.exact_moments(er.ErParams(n, m))[1]
+] + [(6, 2), (6, 3)]
 
 
 class TestSteinIdentity:
@@ -28,7 +40,7 @@ class TestSteinIdentity:
         rep = er.check_stein_identity_exhaustive(er.ErParams(6, 7), [0, 1])
         assert rep["equal"] and rep["lhs"] == er.exact_moments(er.ErParams(6, 7))[1]
 
-    @pytest.mark.parametrize("nm", [(4, 2), (5, 3)])
+    @pytest.mark.parametrize("nm", SUBSET_POINTS)
     def test_sides_equal_subset_enumeration(self, nm):
         coeffs = [1, -2, 0, 1]
         rep = er.check_stein_identity_exhaustive(er.ErParams(*nm), coeffs)
@@ -38,9 +50,11 @@ class TestSteinIdentity:
         rep = er.check_stein_identity_exhaustive(er.ErParams(3, 1), [0, 1])
         assert rep["skipped"] and "degenerate" in rep["reason"]
 
-    def test_infeasible_size_rejected(self):
-        with pytest.raises(ValueError):
-            er.check_stein_identity_exhaustive(er.ErParams(7, 3), [0, 1])
+    def test_linear_f_gives_variance_past_n_six(self):
+        # no size cap: the (d, z, h) law reaches n = 7 and beyond
+        for nm in [(7, 3), (10, 10), (20, 20)]:
+            rep = er.check_stein_identity_exhaustive(er.ErParams(*nm), [0, 1])
+            assert rep["equal"] and rep["lhs"] == er.exact_moments(er.ErParams(*nm))[1], nm
 
     def test_affine_equivalence_with_standardized_form(self):
         # the unstandardized rational identity implies the standardized one:
@@ -53,7 +67,7 @@ class TestSteinIdentity:
         w_edges = 1.0 / 15.0
         lhs = 0.0
         rhs = 0.0
-        for edges in er.enumerate_edge_sets(params):
+        for edges in enumerate_edge_sets(params):
             edges = frozenset(edges)
             deg = [0] * 4
             for s in edges:
@@ -73,6 +87,15 @@ class TestSteinIdentity:
 
 
 class TestCoupledLaw:
+    @pytest.mark.parametrize(
+        "nm", [(n, m) for n in range(3, 9) for m in range(1, math.comb(n, 2))] + [(40, 40)]
+    )
+    def test_coupling_law_y_marginal_is_exact_y_law(self, nm):
+        # Y = z - h + [d = 0] under the (d, z, h) law of one vertex
+        params = er.ErParams(*nm)
+        pairs = ((z - h + (d == 0), p) for p, d, z, h in er._coupling_law(params))
+        assert law_from_pairs(pairs) == er.exact_y_law(params)
+
     def test_chain_equals_relocation_subsets(self):
         # the law of Y_v given (G, v) by the edge chain from the z vertices that
         # keep no edge once v is removed, against a recount of every subset
@@ -105,7 +128,7 @@ class TestExhaustiveGDIdentity:
         table = er.pair_table(4)
         total = Fraction(0)
         w_edges = Fraction(1, 15)
-        for edges in er.enumerate_edge_sets(params):
+        for edges in enumerate_edge_sets(params):
             edges = frozenset(edges)
             deg = [0] * 4
             for s in edges:

@@ -24,6 +24,7 @@ from oracles import (
     brute_er_moments,
     coupling_sample,
     edge_index,
+    enumerate_edge_sets,
     gd_conditional_variance_estimate,
     lazy_permutation,
     redistribute,
@@ -281,7 +282,7 @@ class TestSampling:
         table = er.pair_table(4)
         counts = {}
         total = 0
-        for edges in er.enumerate_edge_sets(params):
+        for edges in enumerate_edge_sets(params):
             total += 1
             d = sum(1 for s in edges if 1 in table[s - 1])
             counts[d] = counts.get(d, 0) + 1
@@ -323,7 +324,7 @@ class TestIsolatedCount:
             m = ex.binomial(n - 1, 2) + 1
             params = er.ErParams(n, m)
             table = er.pair_table(n)
-            for edges in er.enumerate_edge_sets(params):
+            for edges in enumerate_edge_sets(params):
                 touched = {v for s in edges for v in table[s - 1]}
                 assert len(touched) == n
 
@@ -506,7 +507,7 @@ class TestRedistribution:
         table = er.pair_table(4)
         law: dict = {}
         w_edges = Fraction(1, 15)
-        for edges in er.enumerate_edge_sets(params):
+        for edges in enumerate_edge_sets(params):
             edges = frozenset(edges)
             for relocated, w_sub in relocation_target_law(4, edges, 1):
                 kept = [s for s in edges if 1 not in table[s - 1]]
@@ -643,7 +644,7 @@ class TestGDConditionalVariance:
         w_edges = Fraction(1, 15)
         mean_x = Fraction(0)
         mean_x2 = Fraction(0)
-        for edges in er.enumerate_edge_sets(params):
+        for edges in enumerate_edge_sets(params):
             rest = tuple(s for s in range(1, 7) if s not in edges)
             g = er.ErGraphState(params, tuple(edges) + rest)
             deg = er.degrees(g)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_efron_stein
+from oracles import loop_efron_stein, loop_kolmogorov
 from scipy.special import ndtr, ndtri
 
 from steinlab import er_model as er
+from steinlab import jack_model as jm
 from steinlab import stein_core as sc
 
 # h(pi, sigmas) of each value type the Efron-Stein check accepts
@@ -118,6 +119,20 @@ class TestDiscreteDistanceHelpers:
         assert sc.kolmogorov_discrete_vs_normal(law) == pytest.approx(
             abs(0.2 - sc.normal_cdf(0.5))
         )
+
+    def test_kolmogorov_scan_equals_atom_loop(self):
+        # the array scan returns the very float of the loop over atoms, for
+        # exact laws and for empirical samples as laws of their unique values
+        laws = [er.exact_w_law(er.ErParams(n, m)) for n in range(4, 8)
+                for m in range(2, math.comb(n - 1, 2) + 1)]
+        laws += [jm.exact_w_law(n, a) for n in range(2, 7) for a in (Fraction(1, 4), 1, 64)]
+        for law in laws:
+            assert sc.kolmogorov_discrete_vs_normal(law) == loop_kolmogorov(law), law
+        rng = np.random.default_rng(17)
+        for x in (rng.standard_normal(500), np.round(rng.standard_normal(3000), 1)):
+            vals, counts = np.unique(x, return_counts=True)
+            law = sc.DiscreteLaw(tuple(zip(vals.tolist(), (Fraction(int(c), x.size) for c in counts))))
+            assert sc.empirical_kolmogorov(x)["delta_hat"] == loop_kolmogorov(law)
 
     def test_wasserstein_matches_quadrature(self):
         law = sc.DiscreteLaw(
